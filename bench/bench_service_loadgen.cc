@@ -130,16 +130,14 @@ double RunReaderSweep(int readers, const PqShape& shape,
 
 // One configuration of the write workload: `writers` concurrent clients,
 // each owning a disjoint tree range, fire a write_pct% edit / rest lookup
-// mix at a server configured with the given pipeline depth, staging pool,
-// and snapshot rebuild cadence. The (depth 1, staging 0, rebuild-every 1)
-// point reproduces the pre-pipelining write path exactly, so the sweep
-// doubles as the committed baseline for the write-throughput bar.
+// mix at a server configured with the given pipeline depth and staging
+// pool. The (depth 1, staging 0) point is the serial group-commit leader,
+// the baseline the pipelined point's write speedup is measured against.
 struct WriteWorkloadConfig {
   int writers = 4;
   int write_pct = 90;
   int pipeline_depth = 1;
   int staging_threads = 0;
-  int full_rebuild_every = 1;
 };
 
 // Returns requests/second (negative on failure); appends edit latencies
@@ -148,7 +146,7 @@ struct WriteWorkloadConfig {
 double RunWriteWorkload(const WriteWorkloadConfig& cfg, const PqShape& shape,
                         std::vector<double>* edit_latencies,
                         double* batching_out, double* publish_s_out) {
-  const int kSeedTrees = 512;  // big enough that full rebuilds cost real time
+  const int kSeedTrees = 512;  // big enough that publishes cost real time
   const int kTreesPerWriter = 8;
   const int kRequestsPerWriter = Scaled(150);
   const int kTreeNodes = 50;
@@ -163,15 +161,13 @@ double RunWriteWorkload(const WriteWorkloadConfig& cfg, const PqShape& shape,
   options.max_connections = cfg.writers + 1;
   options.commit_pipeline_depth = cfg.pipeline_depth;
   options.staging_threads = cfg.staging_threads;
-  options.snapshot_full_rebuild_every = cfg.full_rebuild_every;
   Server server(index->get(), options);
   auto listener = std::make_unique<PipeListener>();
   PipeListener* connect_point = listener.get();
   if (!server.Start(std::move(listener)).ok()) return -1;
 
   // Seed a background forest so every snapshot publish has real weight:
-  // with rebuild-every 1 each commit recompiles all of it, with the
-  // incremental path only the touched shard.
+  // each commit merge-patches the shard owning its tree.
   {
     Rng rng(9100);
     auto dict = std::make_shared<LabelDict>();
@@ -486,11 +482,10 @@ int main(int argc, char** argv) {
   report.Add("metrics_overhead_pct", overhead_pct, "%");
 
   // Write-path sweep: the same write-heavy workload (default 90% edits;
-  // --write-pct=N picks any read/write mix) against (a) the pre-pipelining
-  // configuration -- depth 1, serial staging, full snapshot rebuild per
-  // commit -- and (b) the pipelined configuration with parallel staging
-  // and incremental snapshots. (a) is the committed baseline the
-  // write-throughput acceptance bar compares against.
+  // --write-pct=N picks any read/write mix) against (a) the serial
+  // configuration -- depth 1, serial staging -- and (b) the pipelined
+  // configuration with parallel staging. Both publish snapshots
+  // incrementally; write_speedup is (b) / (a).
   int write_pct = 90;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -509,21 +504,15 @@ int main(int argc, char** argv) {
     WriteWorkloadConfig cfg;
   };
   const SweepPoint kSweep[] = {
-      // Pre-PR write path: one commit in flight, serial staging, full
-      // snapshot rebuild after every batch.
-      {"baseline: depth 1, serial, full rebuild",
-       "write_baseline",
-       {4, write_pct, 1, 0, 1}},
-      // Incremental snapshots alone: same serial commit loop, but each
-      // publish recompiles only the touched shard.
-      {"incremental snapshots only",
+      // One commit in flight, serial staging.
+      {"serial: depth 1, serial staging",
        "write_incremental",
-       {4, write_pct, 1, 0, 64}},
-      // The full PR configuration: pipelined commits overlap validation
-      // and delta staging with the predecessor's WAL fsync.
-      {"pipelined: depth 2, staging 2, incremental",
+       {4, write_pct, 1, 0}},
+      // Pipelined commits overlap validation and delta staging with the
+      // predecessor's WAL fsync.
+      {"pipelined: depth 2, staging 2",
        "write_pipelined",
-       {4, write_pct, 2, 2, 64}},
+       {4, write_pct, 2, 2}},
   };
   double base_rate = 0, piped_rate = 0;
   for (const SweepPoint& point : kSweep) {
@@ -536,7 +525,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "write workload failed (%s)\n", point.label);
       return 1;
     }
-    if (point.cfg.full_rebuild_every == 1) base_rate = rate;
+    if (point.cfg.pipeline_depth == 1) base_rate = rate;
     if (point.cfg.pipeline_depth > 1) piped_rate = rate;
     std::printf("%-44s %12.0f %10.3fms %9.2fx %12.3f\n", point.label, rate,
                 Percentile(&edit_lat, 50) * 1e3, batching_factor, publish_s);
@@ -547,7 +536,7 @@ int main(int argc, char** argv) {
     report.Add(cell + "_batching", batching_factor, "x");
   }
   if (base_rate > 0) {
-    std::printf("%-44s %11.2fx\n", "write speedup (pipelined / baseline)",
+    std::printf("%-44s %11.2fx\n", "write speedup (pipelined / serial)",
                 piped_rate / base_rate);
     report.Add("write_speedup", piped_rate / base_rate, "x");
   }

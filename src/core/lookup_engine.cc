@@ -5,6 +5,7 @@
 #include <bit>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/metrics.h"
@@ -136,36 +137,41 @@ std::shared_ptr<const LookupEngine> LookupEngine::Build(
 }
 
 void LookupEngine::FreezeShard(Shard* shard, std::vector<RawPosting> part) {
-  shard->uid = g_next_shard_uid.fetch_add(1, std::memory_order_relaxed);
   std::sort(part.begin(), part.end(),
             [](const RawPosting& a, const RawPosting& b) {
               return a.fp < b.fp || (a.fp == b.fp && a.slot < b.slot);
             });
-  PQIDX_CHECK_MSG(part.size() <= UINT32_MAX,
-                  "shard posting arena exceeds 32-bit offsets");
   shard->entries.reserve(part.size());
-  shard->offsets.push_back(0);
-  for (size_t i = 0; i < part.size(); ++i) {
-    const RawPosting& p = part[i];
-    PQIDX_CHECK_MSG(p.count > 0, "nonpositive posting count");
-    if (shard->fps.empty() || shard->fps.back() != p.fp) {
-      if (!shard->fps.empty()) {
-        shard->offsets.push_back(static_cast<uint32_t>(i));
-      }
-      shard->fps.push_back(p.fp);
-    }
-    // Counts beyond int32 are legitimate (accumulated edit deltas) but
-    // rare; spill them to the side map rather than abort a build that
-    // may be publishing a live server's next snapshot.
-    if (p.count <= INT32_MAX) {
-      shard->entries.push_back({p.slot, static_cast<int32_t>(p.count)});
-    } else {
-      shard->wide_counts.emplace(static_cast<uint32_t>(i), p.count);
-      shard->entries.push_back({p.slot, kWideCount});
-    }
+  for (const RawPosting& p : part) {
+    AppendPosting(shard, p.fp, p.slot, p.count);
   }
-  shard->offsets.push_back(static_cast<uint32_t>(part.size()));
-  if (shard->fps.empty()) shard->offsets.assign(1, 0);
+  FinishArena(shard);
+}
+
+void LookupEngine::AppendPosting(Shard* shard, PqGramFingerprint fp,
+                                 int32_t slot, int64_t count) {
+  PQIDX_CHECK_MSG(count > 0, "nonpositive posting count");
+  PQIDX_CHECK_MSG(shard->entries.size() < UINT32_MAX,
+                  "shard posting arena exceeds 32-bit offsets");
+  const uint32_t index = static_cast<uint32_t>(shard->entries.size());
+  if (shard->fps.empty() || shard->fps.back() != fp) {
+    shard->fps.push_back(fp);
+    shard->offsets.push_back(index);
+  }
+  // Counts beyond int32 are legitimate (accumulated edit deltas) but
+  // rare; spill them to the side map rather than abort a build that
+  // may be publishing a live server's next snapshot.
+  if (count <= INT32_MAX) {
+    shard->entries.push_back({slot, static_cast<int32_t>(count)});
+  } else {
+    shard->wide_counts.emplace(index, count);
+    shard->entries.push_back({slot, kWideCount});
+  }
+}
+
+void LookupEngine::FinishArena(Shard* shard) {
+  shard->uid = g_next_shard_uid.fetch_add(1, std::memory_order_relaxed);
+  shard->offsets.push_back(static_cast<uint32_t>(shard->entries.size()));
 }
 
 std::shared_ptr<const LookupEngine> LookupEngine::Compile(
@@ -180,6 +186,7 @@ std::shared_ptr<const LookupEngine> LookupEngine::Compile(
   // Private constructor; the factory idiom owns the allocation directly.
   std::shared_ptr<LookupEngine> engine(new LookupEngine());
   engine->shape_ = shape;
+  engine->target_shards_ = std::max(1, num_shards);
   const int n = static_cast<int>(tree_ids.size());
   engine->num_trees_ = n;
   int shard_count = std::clamp(num_shards, 1, std::max(1, n));
@@ -248,79 +255,311 @@ std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
   if (changed.empty()) return prev;
   if (prev->num_trees_ == 0) {
     // No shard tree-id ranges exist yet to route the delta into.
-    return Build(forest, prev->num_shards());
+    return Build(forest, prev->target_shards_);
   }
   const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   const size_t shard_count = prev->shards_.size();
 
   // Route every changed id to the shard whose ascending tree-id range
-  // (would) contain it: the last nonempty shard whose first id <= id,
-  // else the first nonempty shard. Ranges start contiguous (Build) and
-  // this routing keeps them disjoint and ascending, so an id already in
-  // the snapshot always routes to the shard that holds it.
-  std::vector<std::pair<TreeId, size_t>> firsts;
-  for (size_t s = 0; s < shard_count; ++s) {
-    if (!prev->shards_[s]->tree_ids.empty()) {
-      firsts.emplace_back(prev->shards_[s]->tree_ids.front(), s);
-    }
-  }
+  // (would) contain it: the last shard whose first id <= id, else the
+  // first shard. Every shard of a nonempty snapshot holds a tree, ranges
+  // start contiguous (Build) and this routing keeps them disjoint and
+  // ascending, so an id already in the snapshot always routes to the
+  // shard that holds it.
   std::vector<std::vector<TreeId>> incoming(shard_count);
   for (TreeId id : changed) {
     auto it = std::upper_bound(
-        firsts.begin(), firsts.end(),
-        std::make_pair(id, std::numeric_limits<size_t>::max()));
-    size_t s = it == firsts.begin() ? firsts.front().second
-                                    : std::prev(it)->second;
-    incoming[s].push_back(id);
+        prev->shards_.begin(), prev->shards_.end(), id,
+        [](TreeId value, const std::shared_ptr<const Shard>& shard) {
+          return value < shard->tree_ids.front();
+        });
+    incoming[it == prev->shards_.begin()
+                 ? 0
+                 : static_cast<size_t>(it - prev->shards_.begin()) - 1]
+        .push_back(id);
+  }
+
+  // Each shard's tree count after the delta: a routed id it holds that
+  // the forest lacks is a removal, one it lacks that the forest holds an
+  // insert.
+  std::vector<int64_t> trees(shard_count);
+  int64_t n = 0;
+  for (size_t s = 0; s < shard_count; ++s) {
+    std::vector<TreeId>& ids = incoming[s];
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    const std::vector<TreeId>& held = prev->shards_[s]->tree_ids;
+    trees[s] = static_cast<int64_t>(held.size());
+    for (TreeId id : ids) {
+      trees[s] += (forest.Find(id) != nullptr ? 1 : 0) -
+                  (std::binary_search(held.begin(), held.end(), id) ? 1 : 0);
+    }
+    n += trees[s];
+  }
+  const int64_t target = prev->target_shards_;
+  const int64_t per = std::max<int64_t>(1, (n + target - 1) / target);
+
+  // Group the surviving shards into runs that become new shards: an
+  // emptied shard is dropped, and a shard joins the run before it while
+  // their trees together fit in `per` (this is what keeps the shard
+  // count near the target while ids come and go). A run of one untouched
+  // shard is shared as is.
+  struct Run {
+    size_t begin;
+    size_t end;
+    int64_t trees;
+    bool dirty;
+  };
+  std::vector<Run> runs;
+  for (size_t s = 0; s < shard_count; ++s) {
+    if (trees[s] == 0) continue;
+    if (!runs.empty() && runs.back().trees + trees[s] <= per) {
+      runs.back().end = s + 1;
+      runs.back().trees += trees[s];
+      runs.back().dirty = true;
+    } else {
+      runs.push_back({s, s + 1, trees[s], !incoming[s].empty()});
+    }
   }
 
   std::shared_ptr<LookupEngine> engine(new LookupEngine());
   engine->shape_ = prev->shape_;
-  engine->shards_.resize(shard_count);
-  int64_t trees = 0;
-  int64_t postings = 0;
-  for (size_t s = 0; s < shard_count; ++s) {
-    if (incoming[s].empty()) {
+  engine->target_shards_ = prev->target_shards_;
+  engine->num_trees_ = static_cast<int>(n);
+  for (const Run& run : runs) {
+    if (!run.dirty) {
       // Untouched: share the frozen arena with the previous epoch.
-      engine->shards_[s] = prev->shards_[s];
-      trees += static_cast<int64_t>(engine->shards_[s]->tree_ids.size());
-      postings += static_cast<int64_t>(engine->shards_[s]->entries.size());
+      engine->shards_.push_back(prev->shards_[run.begin]);
       m_reused->Increment();
       continue;
     }
-    // Dirty: recompile from the forest. The shard's new tree set is the
-    // union of its previous ids and the changed ids routed here; any of
-    // them absent from the forest is a removal.
-    const Shard& old = *prev->shards_[s];
-    std::vector<TreeId> ids = old.tree_ids;
-    ids.insert(ids.end(), incoming[s].begin(), incoming[s].end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    auto shard = std::make_shared<Shard>();
-    std::vector<RawPosting> part;
-    for (TreeId id : ids) {
-      const PqGramIndex* bag = forest.Find(id);
-      if (bag == nullptr) continue;  // removed
-      const int32_t slot = static_cast<int32_t>(shard->tree_ids.size());
-      shard->tree_ids.push_back(id);
-      shard->tree_sizes.push_back(bag->size());
-      for (const auto& [fp, count] : bag->counts()) {
-        part.push_back({fp, slot, count});
-      }
+    // An overgrown run is halved by slot range until every piece fits.
+    int64_t pieces = 1;
+    while ((run.trees + pieces - 1) / pieces > 2 * per) pieces *= 2;
+    for (std::shared_ptr<const Shard>& shard :
+         RewriteRun(*prev, run.begin, run.end, incoming, forest, pieces)) {
+      engine->shards_.push_back(std::move(shard));
+      m_recompiled->Increment();
     }
-    trees += static_cast<int64_t>(shard->tree_ids.size());
-    postings += static_cast<int64_t>(part.size());
-    FreezeShard(shard.get(), std::move(part));
-    engine->shards_[s] = std::move(shard);
-    m_recompiled->Increment();
   }
-  engine->num_trees_ = static_cast<int>(trees);
-  engine->posting_entries_ = postings;
+  if (engine->shards_.empty()) {
+    // Every tree left: the snapshot keeps one empty shard.
+    auto shard = std::make_shared<Shard>();
+    FinishArena(shard.get());
+    engine->shards_.push_back(std::move(shard));
+  }
+  for (const std::shared_ptr<const Shard>& shard : engine->shards_) {
+    engine->posting_entries_ += static_cast<int64_t>(shard->entries.size());
+  }
   m_incremental->Increment();
   if (Metrics::enabled()) {
     m_incremental_us->Record(Metrics::NowUs() - start_us);
   }
   return engine;
+}
+
+std::vector<std::shared_ptr<const LookupEngine::Shard>>
+LookupEngine::RewriteRun(const LookupEngine& prev, size_t begin, size_t end,
+                         const std::vector<std::vector<TreeId>>& incoming,
+                         const ForestIndex& forest, int64_t pieces) {
+  // The run's new tree list: each source shard's held ids merged with
+  // the changed ids routed to it. Routing keeps the per-shard ranges
+  // ascending, so concatenating them keeps the list ascending.
+  // remap[k][old slot] is the tree's new slot in the run, or -1 when it
+  // changed or left (its old postings are skipped). The changed trees'
+  // postings are read from the forest into `fresh`.
+  std::vector<TreeId> ids;
+  std::vector<int64_t> sizes;
+  std::vector<std::vector<int32_t>> remap(end - begin);
+  std::vector<RawPosting> fresh;
+  size_t old_entries = 0;
+  size_t old_fps = 0;
+  for (size_t s = begin; s < end; ++s) {
+    const Shard& old = *prev.shards_[s];
+    const std::vector<TreeId>& in = incoming[s];
+    std::vector<int32_t>& map = remap[s - begin];
+    map.assign(old.tree_ids.size(), -1);
+    old_entries += old.entries.size();
+    old_fps += old.fps.size();
+    size_t i = 0;
+    size_t j = 0;
+    while (i < old.tree_ids.size() || j < in.size()) {
+      const int32_t slot = static_cast<int32_t>(ids.size());
+      if (j == in.size() ||
+          (i < old.tree_ids.size() && old.tree_ids[i] < in[j])) {
+        map[i] = slot;
+        ids.push_back(old.tree_ids[i]);
+        sizes.push_back(old.tree_sizes[i]);
+        ++i;
+        continue;
+      }
+      const TreeId id = in[j++];
+      if (i < old.tree_ids.size() && old.tree_ids[i] == id) ++i;
+      const PqGramIndex* bag = forest.Find(id);
+      if (bag == nullptr) continue;  // removed
+      ids.push_back(id);
+      sizes.push_back(bag->size());
+      for (const auto& [fp, count] : bag->counts()) {
+        fresh.push_back({fp, slot, count});
+      }
+    }
+  }
+  std::sort(fresh.begin(), fresh.end(),
+            [](const RawPosting& a, const RawPosting& b) {
+              return a.fp < b.fp || (a.fp == b.fp && a.slot < b.slot);
+            });
+
+  // Piece p owns run slots [cut[p], cut[p + 1]).
+  const int64_t n = static_cast<int64_t>(ids.size());
+  std::vector<int32_t> cut(static_cast<size_t>(pieces) + 1);
+  std::vector<std::shared_ptr<Shard>> out(static_cast<size_t>(pieces));
+  for (int64_t p = 0; p <= pieces; ++p) {
+    cut[static_cast<size_t>(p)] = static_cast<int32_t>(p * n / pieces);
+  }
+  for (size_t p = 0; p < out.size(); ++p) {
+    out[p] = std::make_shared<Shard>();
+    out[p]->tree_ids.assign(ids.begin() + cut[p], ids.begin() + cut[p + 1]);
+    out[p]->tree_sizes.assign(sizes.begin() + cut[p],
+                              sizes.begin() + cut[p + 1]);
+  }
+  if (pieces == 1) {
+    out[0]->entries.reserve(old_entries + fresh.size());
+    out[0]->fps.reserve(old_fps + fresh.size());
+    out[0]->offsets.reserve(old_fps + fresh.size() + 1);
+  }
+  auto emit = [&](PqGramFingerprint fp, int32_t slot, int64_t count) {
+    const size_t p = static_cast<size_t>(
+        std::upper_bound(cut.begin() + 1, cut.end() - 1, slot) -
+        (cut.begin() + 1));
+    AppendPosting(out[p].get(), fp, slot - cut[p], count);
+  };
+
+  // One merge in (fp, slot) order, the order FreezeShard sorts into.
+  // Within a fingerprint the sources' groups come out slot-ascending in
+  // source order (monotone remap over ascending id ranges); the fresh
+  // postings of that fingerprint interleave by slot.
+  std::vector<size_t> group(end - begin, 0);
+  size_t f = 0;
+  while (true) {
+    bool any = f < fresh.size();
+    PqGramFingerprint fp = any ? fresh[f].fp : 0;
+    for (size_t k = 0; k < group.size(); ++k) {
+      const Shard& old = *prev.shards_[begin + k];
+      if (group[k] < old.fps.size() && (!any || old.fps[group[k]] < fp)) {
+        fp = old.fps[group[k]];
+        any = true;
+      }
+    }
+    if (!any) break;
+    for (size_t k = 0; k < group.size(); ++k) {
+      const Shard& old = *prev.shards_[begin + k];
+      if (group[k] == old.fps.size() || old.fps[group[k]] != fp) continue;
+      const std::vector<int32_t>& map = remap[k];
+      for (uint32_t e = old.offsets[group[k]]; e < old.offsets[group[k] + 1];
+           ++e) {
+        const int32_t slot = map[static_cast<size_t>(old.entries[e].slot)];
+        if (slot < 0) continue;
+        for (; f < fresh.size() && fresh[f].fp == fp && fresh[f].slot < slot;
+             ++f) {
+          emit(fp, fresh[f].slot, fresh[f].count);
+        }
+        emit(fp, slot, old.EntryCount(e));
+      }
+      ++group[k];
+    }
+    for (; f < fresh.size() && fresh[f].fp == fp; ++f) {
+      emit(fp, fresh[f].slot, fresh[f].count);
+    }
+  }
+  std::vector<std::shared_ptr<const Shard>> frozen;
+  frozen.reserve(out.size());
+  for (std::shared_ptr<Shard>& shard : out) {
+    FinishArena(shard.get());
+    frozen.push_back(std::move(shard));
+  }
+  return frozen;
+}
+
+std::vector<int> LookupEngine::ShardSizes() const {
+  std::vector<int> sizes;
+  sizes.reserve(shards_.size());
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    sizes.push_back(static_cast<int>(shard->tree_ids.size()));
+  }
+  return sizes;
+}
+
+Status LookupEngine::CheckInvariants() const {
+  auto fail = [](size_t s, const char* what) {
+    return DataLossError("lookup engine shard " + std::to_string(s) + ": " +
+                         what);
+  };
+  if (shards_.empty()) return DataLossError("lookup engine has no shards");
+  int64_t trees = 0;
+  int64_t postings = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    const size_t n = shard.tree_ids.size();
+    if (n == 0 && shards_.size() > 1) return fail(s, "empty beside others");
+    if (shard.tree_sizes.size() != n) return fail(s, "tree_sizes length");
+    for (size_t i = 1; i < n; ++i) {
+      if (!(shard.tree_ids[i - 1] < shard.tree_ids[i])) {
+        return fail(s, "tree ids not strictly ascending");
+      }
+    }
+    if (s > 0 && n > 0 &&
+        !(shards_[s - 1]->tree_ids.back() < shard.tree_ids.front())) {
+      return fail(s, "tree-id range not above the previous shard's");
+    }
+    if (shard.offsets.size() != shard.fps.size() + 1 ||
+        shard.offsets.front() != 0 ||
+        shard.offsets.back() != shard.entries.size()) {
+      return fail(s, "offsets do not bracket the arena");
+    }
+    std::vector<int64_t> sums(n, 0);
+    size_t wide = 0;
+    for (size_t g = 0; g < shard.fps.size(); ++g) {
+      if (g > 0 && !(shard.fps[g - 1] < shard.fps[g])) {
+        return fail(s, "fingerprints not strictly ascending");
+      }
+      if (!(shard.offsets[g] < shard.offsets[g + 1])) {
+        return fail(s, "offsets not strictly increasing");
+      }
+      for (uint32_t e = shard.offsets[g]; e < shard.offsets[g + 1]; ++e) {
+        const int32_t slot = shard.entries[e].slot;
+        if (slot < 0 || static_cast<size_t>(slot) >= n) {
+          return fail(s, "slot out of range");
+        }
+        if (e > shard.offsets[g] && !(shard.entries[e - 1].slot < slot)) {
+          return fail(s, "slots not strictly ascending within a group");
+        }
+        int64_t count = shard.entries[e].count;
+        if (count == kWideCount) {
+          auto it = shard.wide_counts.find(e);
+          if (it == shard.wide_counts.end() || it->second <= INT32_MAX) {
+            return fail(s, "wide count missing or narrow");
+          }
+          count = it->second;
+          ++wide;
+        } else if (count <= 0) {
+          return fail(s, "nonpositive count");
+        }
+        sums[static_cast<size_t>(slot)] += count;
+      }
+    }
+    if (wide != shard.wide_counts.size()) {
+      return fail(s, "wide_counts entry without a sentinel");
+    }
+    if (sums != shard.tree_sizes) {
+      return fail(s, "tree size differs from the sum of its counts");
+    }
+    trees += static_cast<int64_t>(n);
+    postings += static_cast<int64_t>(shard.entries.size());
+  }
+  if (trees != num_trees_ || postings != posting_entries_) {
+    return DataLossError("lookup engine totals do not match its shards");
+  }
+  return Status::Ok();
 }
 
 std::vector<uint64_t> LookupEngine::ShardUids() const {

@@ -40,10 +40,15 @@
 // Snapshots are maintained the same way the paper maintains the index
 // itself (Lemma 2: In = I0 \ lambda(Delta-) |+| lambda(Delta+)):
 // ApplyDelta derives the next snapshot from the previous one by
-// copy-on-write -- only the shards whose tree-id range owns a changed
-// tree are recompiled into fresh arenas, every untouched shard is shared
-// with the previous epoch through its shared_ptr -- so publishing a
-// commit of k edits costs O(shards touched by k), not O(total postings).
+// copy-on-write. Every untouched shard is shared with the previous epoch
+// through its shared_ptr; a shard owning a changed tree is patched by a
+// linear merge of its previous frozen arena (unchanged trees, copied
+// without re-sorting) with the sorted postings of the changed trees. So
+// publishing a commit of k edits costs O(postings of the shards touched
+// plus sort of the k changed bags), not O(total postings). The same
+// merge keeps the layout balanced against the shard count the snapshot
+// was built for: an overgrown shard splits, small neighbors merge and
+// emptied shards drop.
 
 #ifndef PQIDX_CORE_LOOKUP_ENGINE_H_
 #define PQIDX_CORE_LOOKUP_ENGINE_H_
@@ -53,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/inverted_index.h"
@@ -81,8 +87,10 @@ struct LookupEngineStats {
 class LookupEngine {
  public:
   // Compiles a snapshot of `forest` split into `num_shards` shards
-  // (clamped to [1, max(1, #trees)]). Shard count trades parallelism
-  // against per-shard setup cost; results never depend on it.
+  // (clamped to [1, max(1, #trees)]; the unclamped count is kept as the
+  // target later ApplyDelta calls balance against). Shard count trades
+  // parallelism against per-shard setup cost; results never depend on
+  // it.
   static std::shared_ptr<const LookupEngine> Build(const ForestIndex& forest,
                                                    int num_shards = 1);
   static std::shared_ptr<const LookupEngine> Build(
@@ -92,11 +100,19 @@ class LookupEngine {
   // lists every tree id whose bag differs between the snapshot and
   // `forest` (Lemma 2's lambda(Delta+) and lambda(Delta-)): an id
   // present in `forest` is an insert or update, an id absent from it is
-  // a removal. Only the shards owning a changed id are recompiled from
-  // `forest`; every other shard is shared with `prev`. The caller must
-  // list every differing id -- an unlisted change would be silently
-  // missed in a shared shard. Falls back to a full Build when `prev` is
-  // empty (there are no shard ranges to route into).
+  // a removal. Only the shards owning a changed id are rewritten; each
+  // is merge-patched from its previous arena plus the changed trees'
+  // bags read from `forest`, every other shard is shared with `prev`.
+  // The caller must list every differing id -- an unlisted change would
+  // be silently missed in a shared shard.
+  //
+  // With n trees afterwards and `target` the shard count `prev` was
+  // built for, per = ceil(n / target): a rewritten shard holding more
+  // than 2 * per trees is halved by slot range (repeatedly, until every
+  // half fits), adjacent shards whose trees together fit in per merge,
+  // and shards left with no tree are dropped (one shard always stays).
+  // A `prev` with no trees has no ranges to route into and falls back to
+  // Build(forest, target).
   static std::shared_ptr<const LookupEngine> ApplyDelta(
       const std::shared_ptr<const LookupEngine>& prev,
       const ForestIndex& forest, const std::vector<TreeId>& changed);
@@ -105,10 +121,22 @@ class LookupEngine {
   int size() const { return num_trees_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int64_t posting_entries() const { return posting_entries_; }
+  // Trees per shard, in shard order.
+  std::vector<int> ShardSizes() const;
+
+  // Verifies the snapshot's structural invariants, for tests and
+  // debugging: per shard, tree ids and fingerprints strictly ascending,
+  // offsets bracketing nonempty groups, slots strictly ascending within
+  // a group and below the shard's tree count, counts positive (wide ones
+  // resolved through the side map), tree_sizes[slot] equal to the sum of
+  // the slot's counts; across shards, tree-id ranges disjoint and
+  // ascending, no empty shard unless it is the only one, and the
+  // snapshot totals matching. O(postings).
+  Status CheckInvariants() const;
 
   // The process-unique ids of this snapshot's shards, in shard order.
   // A shard shared with a previous epoch (ApplyDelta copy-on-write)
-  // keeps its uid; a recompiled or freshly built shard gets a new one.
+  // keeps its uid; a rewritten or freshly built shard gets a new one.
   // QueryCache keys embed these, which is the whole epoch protocol.
   std::vector<uint64_t> ShardUids() const;
 
@@ -196,9 +224,28 @@ class LookupEngine {
       int num_shards);
 
   // Freezes one shard's posting arena from its local-slot raw postings
-  // (sorts by (fp, slot), builds fps/offsets/entries with the wide-count
-  // spill). tree_ids/tree_sizes must already be filled in.
+  // (sorts by (fp, slot), then appends them in that order).
+  // tree_ids/tree_sizes must already be filled in.
   static void FreezeShard(Shard* shard, std::vector<RawPosting> part);
+
+  // Appends one posting to a shard under construction. Postings must
+  // arrive in (fp, slot) order; a count above INT32_MAX spills to
+  // wide_counts. FinishArena closes the offsets array and mints the uid.
+  static void AppendPosting(Shard* shard, PqGramFingerprint fp,
+                            int32_t slot, int64_t count);
+  static void FinishArena(Shard* shard);
+
+  // ApplyDelta's rewrite of the contiguous run of `prev` shards
+  // [begin, end): their trees patched by the changed ids routed to them
+  // (`incoming[s]`, ascending), cut into `pieces` shards of near-equal
+  // tree count. The arenas come from one merge over the old arenas
+  // (slots remapped monotonically, so no sort) and the changed trees'
+  // sorted postings, and equal what FreezeShard builds for the same
+  // trees.
+  static std::vector<std::shared_ptr<const Shard>> RewriteRun(
+      const LookupEngine& prev, size_t begin, size_t end,
+      const std::vector<std::vector<TreeId>>& incoming,
+      const ForestIndex& forest, int64_t pieces);
 
   static std::vector<QueryTuple> QueryTuples(const PqGramIndex& query);
 
@@ -225,6 +272,9 @@ class LookupEngine {
                       LookupEngineStats* stats) const;
 
   PqShape shape_;
+  // The shard count Build was asked for, before clamping to the tree
+  // count; ApplyDelta balances shard sizes against it.
+  int target_shards_ = 1;
   int num_trees_ = 0;
   int64_t posting_entries_ = 0;
   // Shards are individually refcounted so ApplyDelta can share the

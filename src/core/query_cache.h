@@ -2,7 +2,7 @@
 //
 // Caches per-(query, engine-shard) partial results so repeated queries
 // skip scoring entirely. The granularity is deliberate: LookupEngine
-// snapshots evolve by copy-on-write (`ApplyDelta` recompiles only the
+// snapshots evolve by copy-on-write (`ApplyDelta` rewrites only the
 // shards a commit touched and shares every other shard with the
 // previous epoch), and each compiled shard carries a process-unique id
 // (`uid`) minted at freeze time. Cache keys embed that uid, so the
@@ -11,11 +11,11 @@
 //
 //   * an incremental publish keeps every untouched shard's uid alive --
 //     entries for those shards stay warm and keep hitting;
-//   * a recompiled shard gets a fresh uid -- entries for its
+//   * a rewritten shard gets a fresh uid -- entries for its
 //     predecessor can never match again (uids are never reused, so
 //     there is no ABA across epochs);
-//   * a full rebuild mints all-new uids -- the whole cache goes cold
-//     wholesale.
+//   * a from-scratch Build mints all-new uids -- the whole cache goes
+//     cold wholesale. A server compiles one only at Start.
 //
 // Dead entries are reclaimed by OnPublish(live_uids): the publisher
 // passes the new snapshot's uid set and the cache drops (and counts as
@@ -80,8 +80,9 @@ class QueryCache {
 
   // Reclaims entries whose shard uid is not in `live_uids` (ascending
   // order not required), counting them as stale. Publishers call this
-  // after swapping in a snapshot; a full rebuild's all-new uid set
-  // empties the cache wholesale.
+  // after swapping in a snapshot; an all-new uid set (from-scratch
+  // Build, which a server runs only at Start) empties the cache
+  // wholesale.
   void OnPublish(const std::vector<uint64_t>& live_uids);
 
   // Drops everything (counted as stale).

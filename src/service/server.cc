@@ -58,7 +58,6 @@ Server::Server(ShardedStore* index, ServerOptions options)
   PQIDX_CHECK(options_.lookup_threads >= 0);
   PQIDX_CHECK(options_.lookup_shards >= 0);
   PQIDX_CHECK(options_.commit_pipeline_depth >= 1);
-  PQIDX_CHECK(options_.snapshot_full_rebuild_every >= 0);
   PQIDX_CHECK(options_.staging_threads >= 0);
   Metrics& metrics = Metrics::Default();
   PQIDX_CHECK(options_.replication_history >= 0);
@@ -149,29 +148,25 @@ std::shared_ptr<const LookupEngine> Server::EngineSnapshot() const {
 
 void Server::PublishEngine(const std::vector<TreeId>& changed) {
   const auto start = std::chrono::steady_clock::now();
-  int shards = options_.lookup_shards;
-  if (shards == 0) {
-    // A one-shard snapshot would make every incremental publish a full
-    // recompile (the lone shard owns every tree), so the default keeps
-    // enough shards for copy-on-write sharing even without lookup
-    // threads. Build() clamps to the tree count for tiny forests.
-    shards = std::max(16, options_.lookup_threads * 2);
-  }
   std::shared_ptr<const LookupEngine> prev = EngineSnapshot();
-  // Full builds: the initial snapshot, and every Nth publish thereafter
-  // (cadence 1 rebuilds every time; 0 never after the first). Everything
-  // in between derives the next epoch from the previous one by
-  // copy-on-write, recompiling only the shards owning changed trees.
-  bool full = prev == nullptr || changed.empty();
-  if (!full && options_.snapshot_full_rebuild_every > 0 &&
-      publishes_since_full_ + 1 >= options_.snapshot_full_rebuild_every) {
-    full = true;
-  }
+  const bool full = prev == nullptr;
   const ForestIndex& replica = replica_for_publish();
-  std::shared_ptr<const LookupEngine> next =
-      full ? LookupEngine::Build(replica, shards)
-           : LookupEngine::ApplyDelta(prev, replica, changed);
-  publishes_since_full_ = full ? 0 : publishes_since_full_ + 1;
+  std::shared_ptr<const LookupEngine> next;
+  if (full) {
+    int shards = options_.lookup_shards;
+    if (shards == 0) {
+      // A one-shard snapshot would make every publish rewrite the whole
+      // forest (the lone shard owns every tree), so the default keeps
+      // enough shards for copy-on-write sharing even without lookup
+      // threads. Build() clamps to the tree count for tiny forests but
+      // remembers this target, so a store that starts small or empty
+      // grows toward it.
+      shards = std::max(16, options_.lookup_threads * 2);
+    }
+    next = LookupEngine::Build(replica, shards);
+  } else {
+    next = LookupEngine::ApplyDelta(prev, replica, changed);
+  }
   const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -180,8 +175,8 @@ void Server::PublishEngine(const std::vector<TreeId>& changed) {
     engine_ = next;
   }
   // Reconcile the result cache with the new epoch's shard set: entries
-  // for shards the publish recompiled (or, on a full build, all of
-  // them) are dead by uid and reclaimed here; shared shards stay warm.
+  // for shards the publish rewrote are dead by uid and reclaimed here;
+  // shared shards stay warm.
   if (query_cache_ != nullptr) query_cache_->OnPublish(next->ShardUids());
   snapshot_epoch_.fetch_add(1);
   last_rebuild_us_.store(us);

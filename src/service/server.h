@@ -36,11 +36,12 @@
 //     before or after a batch) is unchanged. If a batch fails at the
 //     storage layer, in-flight successors that validated against its
 //     pending bags abort with an error before touching the store;
-//   * snapshots are published incrementally: the leader derives the next
-//     LookupEngine epoch from the previous one via
-//     LookupEngine::ApplyDelta (copy-on-write: only shards owning
-//     touched trees recompile), with a full Build every
-//     `snapshot_full_rebuild_every` publishes as defragmentation.
+//   * snapshots are published incrementally: Start compiles the first
+//     LookupEngine epoch, and after that the leader derives each epoch
+//     from the previous one via LookupEngine::ApplyDelta (copy-on-write:
+//     only shards owning touched trees are merge-patched, and the same
+//     step splits overgrown shards and merges small ones, so no periodic
+//     full rebuild is needed).
 //
 // Responses are sent only after the edit is durable (commit before ack).
 // Invalid edits (unknown tree, duplicate add, minus bag not a sub-bag of
@@ -95,32 +96,26 @@ struct ServerOptions {
   // PQIDX_SLOW_OP_US environment variable, default 100ms); negative
   // disables slow-op logging for this server.
   int64_t slow_op_us = 0;
-  // Shards the lookup snapshot is compiled into; 0 derives a default:
-  // at least 16 (so incremental publication has shards to share; a
-  // single-shard snapshot would recompile everything on every commit),
-  // or 2x lookup_threads when that is larger. Results never depend on
-  // the shard count.
+  // Shards the lookup snapshot is compiled into at Start, and the count
+  // later incremental publishes keep shard sizes balanced against; 0
+  // derives a default: at least 16 (so incremental publication has
+  // shards to share; a single-shard snapshot would rewrite everything on
+  // every commit), or 2x lookup_threads when that is larger. Results
+  // never depend on the shard count.
   //
   // Trade-off: snapshot publication sits on the write-ack path (outside
   // index_mutex_, so concurrent lookups and stats() never wait on it):
   // a committed edit is always visible to the next lookup once its
   // response arrives (read-your-writes). Incremental publication
-  // (LookupEngine::ApplyDelta) makes that cost O(shards touched by the
-  // batch) instead of O(total postings).
+  // (LookupEngine::ApplyDelta) makes that cost a merge over the
+  // postings of the shards the batch touches instead of O(total
+  // postings).
   int lookup_shards = 0;
   // How many group-commit batches may be in flight at once (>= 1).
   // 1 is the classic serial leader. At depth d, batch N+1's validation
   // and δ-materialization overlap batch N's WAL write + fsync; the WAL
   // transactions themselves stay strictly ordered.
   int commit_pipeline_depth = 1;
-  // Publish a full LookupEngine::Build every N snapshot publishes,
-  // deriving the ones in between incrementally from the previous epoch
-  // (copy-on-write shard reuse). 1 rebuilds fully every time (the
-  // pre-incremental behavior); 0 never rebuilds fully after the initial
-  // snapshot. The periodic full build re-balances shard tree ranges
-  // that incremental routing slowly skews and doubles as a validation /
-  // defragmentation pass.
-  int snapshot_full_rebuild_every = 64;
   // Dedicated threads for the write path's parallel work: per-tree
   // validation + δ-materialization during group commit, and the
   // flatten/hash/merge half of PersistentForestIndex::ApplyBatch's
@@ -142,8 +137,8 @@ struct ServerOptions {
   bool read_only = false;
   // Byte budget (MiB) of the epoch-keyed query-result cache serving
   // kLookup / kTopK (core/query_cache.h). Entries are keyed per engine
-  // shard, so incremental snapshot publishes keep results for untouched
-  // shards warm; full rebuilds invalidate wholesale. 0 (or
+  // shard, so snapshot publishes keep results for untouched shards warm
+  // and drop only the rewritten shards' entries. 0 (or
   // query_cache_off) disables the cache entirely.
   int query_cache_mb = 32;
   bool query_cache_off = false;
@@ -281,9 +276,9 @@ class Server {
   // The current lookup snapshot (never null after Start()).
   std::shared_ptr<const LookupEngine> EngineSnapshot() const
       PQIDX_EXCLUDES(engine_mutex_);
-  // Publishes the next snapshot epoch: derived incrementally from the
-  // previous one for the trees in `changed`, or compiled from scratch
-  // when `changed` is empty / the full-rebuild cadence is due. Takes no
+  // Publishes the next snapshot epoch: compiled from scratch when there
+  // is no previous one (Start), else derived from it by ApplyDelta for
+  // the trees in `changed` (an empty list republishes it). Takes no
   // lock on replica_ (see replica_for_publish): the caller must be the
   // sole thread mutating it for the duration (true in Start(), before
   // handlers exist, and for the storage-turn holder until it finishes
@@ -345,9 +340,6 @@ class Server {
   std::unique_ptr<ThreadPool> lookup_pool_;
   // Write-path staging workers (ServerOptions::staging_threads).
   std::unique_ptr<ThreadPool> staging_pool_;
-  // Publishes since the last full Build; only the storage-turn holder
-  // (or Start, before handlers exist) touches it.
-  int64_t publishes_since_full_ = 0;
 
   // Group-commit queue. Tickets are drawn under write_mutex_ at batch
   // drain time, so ticket order == queue order.

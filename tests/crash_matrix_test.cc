@@ -395,7 +395,6 @@ TEST(CrashMatrixTest, PipelinedServerCrashKeepsExactlyAckedEdits) {
     options.max_connections = 8;
     options.commit_pipeline_depth = 3;
     options.staging_threads = 2;
-    options.snapshot_full_rebuild_every = 4;
     options.commit_hold_us = 200;
     Server server(store.get(), options);
     auto listener = std::make_unique<PipeListener>();

@@ -49,6 +49,55 @@ void ExpectSameResults(const std::vector<LookupResult>& got,
   }
 }
 
+// Restores the process-wide kernel selection on scope exit so a failing
+// SIMD test cannot leak a forced kernel into later tests.
+class ScopedSimdKernel {
+ public:
+  ScopedSimdKernel() : saved_(ActiveSimdKernel()) {}
+  ~ScopedSimdKernel() { SetSimdKernelForTesting(saved_); }
+  ScopedSimdKernel(const ScopedSimdKernel&) = delete;
+  ScopedSimdKernel& operator=(const ScopedSimdKernel&) = delete;
+
+ private:
+  SimdKernel saved_;
+};
+
+constexpr SimdKernel kAllKernels[] = {SimdKernel::kScalar, SimdKernel::kSse41,
+                                      SimdKernel::kAvx2, SimdKernel::kNeon};
+
+// A snapshot derived by ApplyDelta must be structurally sound and answer
+// Lookup and TopK bit-identically to a from-scratch Build of the same
+// forest (and to the scan), sequentially and through `pool`, under every
+// SIMD kernel this machine can run.
+void ExpectMatchesFreshBuild(const LookupEngine& engine,
+                             const ForestIndex& forest,
+                             const std::vector<PqGramIndex>& queries,
+                             ThreadPool* pool, const char* what) {
+  const Status sound = engine.CheckInvariants();
+  ASSERT_TRUE(sound.ok()) << what << ": " << sound.ToString();
+  ASSERT_EQ(engine.size(), forest.size()) << what;
+  auto fresh = LookupEngine::Build(forest, 4);
+  ASSERT_EQ(engine.posting_entries(), fresh->posting_entries()) << what;
+  ScopedSimdKernel restore;
+  for (SimdKernel kernel : kAllKernels) {
+    if (!SetSimdKernelForTesting(kernel)) continue;
+    for (const PqGramIndex& query : queries) {
+      for (double tau : kTaus) {
+        const std::vector<LookupResult> want = fresh->Lookup(query, tau);
+        ExpectSameResults(engine.Lookup(query, tau), want, what);
+        ExpectSameResults(engine.Lookup(query, tau, pool), want, what);
+        ExpectSameResults(want, forest.Lookup(query, tau), what);
+      }
+      for (int k : {1, 5, 100}) {
+        const std::vector<LookupResult> want = fresh->TopK(query, k);
+        ExpectSameResults(engine.TopK(query, k), want, what);
+        ExpectSameResults(engine.TopK(query, k, pool), want, what);
+        ExpectSameResults(want, forest.TopK(query, k), what);
+      }
+    }
+  }
+}
+
 // Checks one engine snapshot against the scan for every tau in the sweep,
 // with 1..n shards, sequentially and through a pool.
 void ExpectEngineMatchesScan(const ForestIndex& forest,
@@ -321,25 +370,45 @@ TEST(LookupEngineTest, PruningStatsAccounting) {
 }
 
 // Incremental snapshot maintenance: a randomized edit log evolves the
-// forest (updates, inserts, removals, re-inserts) while ApplyDelta
-// chains snapshot to snapshot; every epoch must stay result-identical
-// to a from-scratch Build AND to the scan, across the full tau sweep.
+// forest (updates, inserts below the first shard and above the last,
+// removals, re-inserts, a whole shard emptied) while ApplyDelta chains
+// snapshot to snapshot. Trees with counts above INT32_MAX move into and
+// out of patched shards, and one stays put while its shard is patched
+// around it. Every epoch must be structurally sound and answer exactly
+// like a from-scratch Build AND the scan.
 TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
   Rng rng(83);
   auto dict = std::make_shared<LabelDict>();
   const PqShape shape{2, 3};
+  const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
   ForestIndex forest(shape);
   std::map<TreeId, Tree> docs;
-  for (TreeId id = 0; id < 14; ++id) {
+  // Ids spaced by 10 leave room to insert inside every shard's range.
+  for (TreeId id = 100; id < 240; id += 10) {
     Tree doc = GenerateDblpLike(dict, &rng, 50);
     forest.AddTree(id, doc);
     docs.insert_or_assign(id, std::move(doc));
   }
+  const Tree wide_doc = MustParse("a(b,c)");
+  PqGramIndex wide_bag = BuildIndex(wide_doc, shape);
+  const PqGramFingerprint wide_fp = wide_bag.counts().begin()->first;
+  wide_bag.Add(wide_fp, kWide);
+  // Never edited itself; its shard is patched around it.
+  const TreeId kStayingWide = 155;
+  forest.AddIndex(kStayingWide, wide_bag);
+
+  std::vector<PqGramIndex> queries;
+  queries.push_back(BuildIndex(docs.begin()->second, shape));
+  PqGramIndex wide_query = BuildIndex(wide_doc, shape);
+  wide_query.Add(wide_fp, kWide + 12345);
+  queries.push_back(std::move(wide_query));
 
   ThreadPool pool(3);
   auto engine = LookupEngine::Build(forest, 4);
-  TreeId next_id = 14;
-  for (int round = 0; round < 8; ++round) {
+  TreeId next_high = 300;
+  TreeId next_low = 99;
+  TreeId moving_wide = -1;  // a wide tree inserted, edited, removed
+  for (int round = 0; round < 10; ++round) {
     std::vector<TreeId> changed;
     // Update a few documents through their edit logs.
     for (int e = 0; e < 3; ++e) {
@@ -351,7 +420,7 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
       changed.push_back(it->first);
     }
     // Remove one tree (the changed list carries the id; ApplyDelta sees
-    // it absent from the forest) and insert a brand-new one.
+    // it absent from the forest).
     if (round % 2 == 0 && docs.size() > 4) {
       auto it = docs.begin();
       std::advance(it, static_cast<long>(rng.NextBounded(docs.size())));
@@ -359,64 +428,83 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
       changed.push_back(it->first);
       docs.erase(it);
     }
+    // Insert a brand-new tree, alternately below the first shard's range
+    // and above the last's.
     {
+      const TreeId id = round % 2 == 0 ? next_high++ : next_low--;
       Tree doc = GenerateDblpLike(dict, &rng, 50);
-      forest.AddTree(next_id, doc);
-      changed.push_back(next_id);
-      docs.insert_or_assign(next_id, std::move(doc));
-      ++next_id;
+      forest.AddTree(id, doc);
+      changed.push_back(id);
+      docs.insert_or_assign(id, std::move(doc));
+    }
+    // A wide-count tree moves into a shard's range, has its wide count
+    // grow, then leaves again.
+    if (round % 3 == 0) {
+      moving_wide = 201 + round;
+      forest.AddIndex(moving_wide, wide_bag);
+      changed.push_back(moving_wide);
+    } else if (round % 3 == 1) {
+      PqGramIndex grown = wide_bag;
+      grown.Add(wide_fp, 7);
+      forest.AddIndex(moving_wide, grown);
+      changed.push_back(moving_wide);
+    } else {
+      ASSERT_TRUE(forest.RemoveTree(moving_wide));
+      changed.push_back(moving_wide);
+    }
+    // Once, on a round whose insert goes above the last shard, empty the
+    // first shard entirely.
+    if (round == 4) {
+      const int first = engine->ShardSizes().front();
+      const std::vector<TreeId> ids = forest.TreeIds();
+      for (int i = 0; i < first; ++i) {
+        ASSERT_NE(ids[static_cast<size_t>(i)], kStayingWide);
+        ASSERT_TRUE(forest.RemoveTree(ids[static_cast<size_t>(i)]));
+        changed.push_back(ids[static_cast<size_t>(i)]);
+        docs.erase(ids[static_cast<size_t>(i)]);
+      }
     }
 
     engine = LookupEngine::ApplyDelta(engine, forest, changed);
-    ASSERT_EQ(engine->size(), forest.size());
-    auto rebuilt = LookupEngine::Build(forest, 4);
-    ASSERT_EQ(engine->posting_entries(), rebuilt->posting_entries());
-
-    PqGramIndex query =
-        BuildIndex(docs.begin()->second, shape);
-    for (double tau : kTaus) {
-      std::vector<LookupResult> want = forest.Lookup(query, tau);
-      ExpectSameResults(engine->Lookup(query, tau), want, "incremental");
-      ExpectSameResults(engine->Lookup(query, tau, &pool), want,
-                        "incremental parallel");
-      ExpectSameResults(rebuilt->Lookup(query, tau), want, "rebuilt");
-    }
-    ExpectSameResults(engine->TopK(query, 5), forest.TopK(query, 5),
-                      "incremental topk");
+    queries.front() = BuildIndex(docs.begin()->second, shape);
+    ExpectMatchesFreshBuild(*engine, forest, queries, &pool, "incremental");
   }
 }
 
 // ApplyDelta edge cases: identity on an empty changed list, full-build
-// fallback from an empty snapshot, evolution down to an empty forest and
-// back, and shards whose counts exceed int32 surviving recompilation.
+// fallback from an empty snapshot, wide counts entering, moving within
+// and leaving patched shards, ids routed below the first and above the
+// last shard, a middle shard emptied, evolution down to an empty forest
+// and back.
 TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   const PqShape shape{2, 2};
   const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
   ForestIndex forest(shape);
   auto engine = LookupEngine::Build(forest, 3);
+  ThreadPool pool(2);
 
   // Empty changed list: the same snapshot comes back.
   EXPECT_EQ(LookupEngine::ApplyDelta(engine, forest, {}).get(),
             engine.get());
 
-  // Empty previous snapshot: falls back to a full build.
+  // Empty previous snapshot: falls back to a full build at the shard
+  // count the empty snapshot was built for (3, not the clamped 1).
   Tree doc = MustParse("a(b,c)");
   PqGramIndex huge = BuildIndex(doc, shape);
   const PqGramFingerprint fp = huge.counts().begin()->first;
   huge.Add(fp, kWide);
-  forest.AddIndex(1, huge);
-  forest.AddTree(2, MustParse("a(b,x)"));
-  forest.AddIndex(3, PqGramIndex(shape));  // empty bag rides along
-  engine = LookupEngine::ApplyDelta(engine, forest, {1, 2, 3});
+  forest.AddIndex(10, huge);
+  forest.AddTree(20, MustParse("a(b,x)"));
+  forest.AddIndex(30, PqGramIndex(shape));  // empty bag rides along
+  engine = LookupEngine::ApplyDelta(engine, forest, {10, 20, 30});
   ASSERT_EQ(engine->size(), 3);
+  EXPECT_EQ(engine->num_shards(), 3);
 
   PqGramIndex query = BuildIndex(doc, shape);
   query.Add(fp, kWide + 12345);
-  ThreadPool pool(2);
-  for (double tau : kTaus) {
-    ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
-                      "wide counts via ApplyDelta");
-  }
+  const std::vector<PqGramIndex> queries = {query, PqGramIndex(shape)};
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "wide counts via ApplyDelta");
   const double hostile[] = {-0.5, -1.0, -1e308,
                             -std::numeric_limits<double>::infinity(),
                             std::numeric_limits<double>::quiet_NaN()};
@@ -427,26 +515,94 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
 
   // Evolve the wide-count bag (still wide) through another delta.
   huge.Add(fp, 7);
-  forest.AddIndex(1, huge);
-  engine = LookupEngine::ApplyDelta(engine, forest, {1});
-  for (double tau : kTaus) {
-    ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
-                      "wide counts evolved");
-  }
+  forest.AddIndex(10, huge);
+  engine = LookupEngine::ApplyDelta(engine, forest, {10});
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "wide counts evolved");
+
+  // A wide tree below the first shard's range and one above the last's;
+  // a wide tree joins the middle shard beside its narrow tree.
+  forest.AddIndex(5, huge);
+  forest.AddIndex(40, huge);
+  forest.AddIndex(25, huge);
+  engine = LookupEngine::ApplyDelta(engine, forest, {5, 40, 25});
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "wide ids at both ends and inside");
+
+  // The middle shard's narrow tree leaves while its wide neighbor stays
+  // (the wide entry's arena index shifts), then the wide one leaves too,
+  // emptying whatever shard held the pair.
+  ASSERT_TRUE(forest.RemoveTree(20));
+  engine = LookupEngine::ApplyDelta(engine, forest, {20});
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "wide entry shifted");
+  ASSERT_TRUE(forest.RemoveTree(25));
+  engine = LookupEngine::ApplyDelta(engine, forest, {25});
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "shard emptied");
+
+  // A wide count shrinks back to narrow in place.
+  forest.AddIndex(40, BuildIndex(doc, shape));
+  engine = LookupEngine::ApplyDelta(engine, forest, {40});
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool, "wide to narrow");
 
   // Remove everything, then repopulate from the empty snapshot.
-  ASSERT_TRUE(forest.RemoveTree(1));
-  ASSERT_TRUE(forest.RemoveTree(2));
-  ASSERT_TRUE(forest.RemoveTree(3));
-  engine = LookupEngine::ApplyDelta(engine, forest, {1, 2, 3});
+  const std::vector<TreeId> all = forest.TreeIds();
+  for (TreeId id : all) ASSERT_TRUE(forest.RemoveTree(id));
+  engine = LookupEngine::ApplyDelta(engine, forest, all);
   ASSERT_EQ(engine->size(), 0);
+  ASSERT_TRUE(engine->CheckInvariants().ok());
   EXPECT_TRUE(engine->Lookup(query, 1.0).empty());
   forest.AddTree(9, MustParse("a(b,c)"));
   engine = LookupEngine::ApplyDelta(engine, forest, {9});
   ASSERT_EQ(engine->size(), 1);
-  for (double tau : kTaus) {
-    ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
-                      "repopulated from empty");
+  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+                          "repopulated from empty");
+}
+
+// A snapshot built on an empty forest clamps to one shard but remembers
+// the requested count: inserting ascending ids one ApplyDelta at a time
+// (every id routes to the last shard) must split that shard as it grows
+// and never leave a shard above 2 * ceil(n / target), while small
+// neighbors merge so the shard count stays near the target.
+TEST(LookupEngineTest, ApplyDeltaGrowsBalancedShardsFromAnEmptyStart) {
+  const PqShape shape{2, 2};
+  constexpr int kTarget = 16;
+  constexpr int kTrees = 2000;
+  Rng rng(97);
+  ForestIndex forest(shape);
+  auto engine = LookupEngine::Build(forest, kTarget);
+  for (TreeId id = 0; id < kTrees; ++id) {
+    PqGramIndex bag(shape);
+    for (int t = 0; t < 4; ++t) {
+      bag.Add(static_cast<PqGramFingerprint>(rng.NextBounded(64)), 1);
+    }
+    forest.AddIndex(id, bag);
+    engine = LookupEngine::ApplyDelta(engine, forest, {id});
+  }
+  const Status sound = engine->CheckInvariants();
+  ASSERT_TRUE(sound.ok()) << sound.ToString();
+  ASSERT_EQ(engine->size(), kTrees);
+  const std::vector<int> sizes = engine->ShardSizes();
+  EXPECT_GT(sizes.size(), 1u);
+  EXPECT_LE(sizes.size(), 2u * kTarget + 1);
+  const int bound = 2 * ((kTrees + kTarget - 1) / kTarget);
+  for (int trees : sizes) EXPECT_LE(trees, bound);
+
+  ThreadPool pool(2);
+  for (int q = 0; q < 3; ++q) {
+    PqGramIndex query(shape);
+    for (int t = 0; t < 4; ++t) {
+      query.Add(static_cast<PqGramFingerprint>(rng.NextBounded(64)), 1);
+    }
+    for (double tau : kTaus) {
+      const std::vector<LookupResult> want = forest.Lookup(query, tau);
+      ExpectSameResults(engine->Lookup(query, tau), want, "grown");
+      ExpectSameResults(engine->Lookup(query, tau, &pool), want,
+                        "grown parallel");
+    }
+    ExpectSameResults(engine->TopK(query, 10), forest.TopK(query, 10),
+                      "grown topk");
   }
 }
 
@@ -586,22 +742,6 @@ TEST(LookupEngineParallelTest, ConcurrentLookupsDuringIncrementalSwaps) {
                       "final incremental snapshot");
   }
 }
-
-// Restores the process-wide kernel selection on scope exit so a failing
-// SIMD test cannot leak a forced kernel into later tests.
-class ScopedSimdKernel {
- public:
-  ScopedSimdKernel() : saved_(ActiveSimdKernel()) {}
-  ~ScopedSimdKernel() { SetSimdKernelForTesting(saved_); }
-  ScopedSimdKernel(const ScopedSimdKernel&) = delete;
-  ScopedSimdKernel& operator=(const ScopedSimdKernel&) = delete;
-
- private:
-  SimdKernel saved_;
-};
-
-constexpr SimdKernel kAllKernels[] = {SimdKernel::kScalar, SimdKernel::kSse41,
-                                      SimdKernel::kAvx2, SimdKernel::kNeon};
 
 TEST(SimdIntersectTest, GallopLowerBoundMatchesStdLowerBound) {
   Rng rng(41);

@@ -119,7 +119,8 @@ TEST(QueryCacheTest, OnPublishReclaimsDeadUids) {
   EXPECT_TRUE(cache.Get(fp, 2, &out));
   EXPECT_TRUE(cache.Get(fp, 4, &out));
 
-  // A full rebuild's all-new uid set empties the cache wholesale.
+  // An all-new uid set (a server's Start compiles one) empties the
+  // cache wholesale.
   cache.OnPublish({100, 101});
   EXPECT_EQ(cache.stale(), 4);
   EXPECT_EQ(cache.entries(), 0);
@@ -220,7 +221,7 @@ TEST(QueryCacheEpochTest, IncrementalPublishKeepsUntouchedShardsWarm) {
   fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache);
   ASSERT_EQ(fx.cache.entries(), EpochFixture::kShards);
 
-  // Edit one tree; ApplyDelta recompiles only its shard and shares the
+  // Edit one tree; ApplyDelta rewrites only its shard and shares the
   // rest, which the uid sets make directly observable.
   Rng rng(31);
   EditLog log;
@@ -252,8 +253,9 @@ TEST(QueryCacheEpochTest, IncrementalPublishKeepsUntouchedShardsWarm) {
   EXPECT_EQ(fx.cache.misses() - misses_before,
             EpochFixture::kShards - shared);
 
-  // A full rebuild mints all-new uids: publishing its uid set empties
-  // the cache wholesale and the next lookup misses on every shard.
+  // A from-scratch Build (only a server's Start compiles one) mints
+  // all-new uids: publishing its uid set empties the cache wholesale and
+  // the next lookup misses on every shard.
   auto rebuilt = LookupEngine::Build(fx.forest, EpochFixture::kShards);
   for (uint64_t uid : rebuilt->ShardUids()) {
     for (uint64_t old : new_uids) EXPECT_NE(uid, old);

@@ -1191,7 +1191,6 @@ TEST(ServiceStressTest, ConcurrentClientsWithPipelinedCommits) {
   options.max_connections = 8;
   options.commit_pipeline_depth = 3;
   options.staging_threads = 2;
-  options.snapshot_full_rebuild_every = 8;
   options.commit_hold_us = 200;
   TestService service("svc_stress_pipeline.db", PqShape{2, 3}, options);
   RunStressWorkload(&service, "svc_stress_pipeline.db");
@@ -1206,7 +1205,6 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   options.max_connections = 8;
   options.commit_pipeline_depth = 4;
   options.staging_threads = 2;
-  options.snapshot_full_rebuild_every = 4;
   const PqShape shape{2, 2};
   TestService service("svc_pipeline_chain.db", shape, options);
 
@@ -1250,23 +1248,31 @@ TEST(ServiceStressTest, PipelinedCommitsChainEditsOfOneTree) {
   }
 }
 
-// Snapshot cadence: with --full-rebuild-every N, most publishes go down
-// the incremental (ApplyDelta) path and every Nth is a full rebuild;
-// both feed their own registry histogram.
+// Snapshot publishes: Start compiles the one full snapshot and every
+// commit after it goes down the incremental (ApplyDelta) path, which
+// shares untouched shards and, as a store that started empty grows one
+// tree per commit, keeps every shard within the split bound.
 TEST(ServiceMetricsTest, SnapshotPublishesSplitIncrementalVsFull) {
   MetricsSnapshot before = Metrics::Default().Snapshot();
-  ServerOptions options;
-  options.snapshot_full_rebuild_every = 4;
   const PqShape shape{2, 2};
-  TestService service("svc_snapshot_cadence.db", shape, options);
+  TestService service("svc_snapshot_cadence.db", shape);
   std::unique_ptr<Client> client = service.MustConnect();
-  for (TreeId id = 0; id < 10; ++id) {
+  constexpr int kCommits = 80;
+  for (TreeId id = 0; id < kCommits; ++id) {
     PqGramIndex bag(shape);
     bag.Add(static_cast<PqGramFingerprint>(10 + id), 1);
     ASSERT_TRUE(client->AddIndex(id, bag).ok());
   }
   ServiceStats stats = service.server->stats();
-  EXPECT_GE(stats.snapshot_epoch, 11);  // initial publish + one per commit
+  EXPECT_GE(stats.snapshot_epoch, kCommits + 1);  // initial + one per commit
+  // Default options target 16 shards; a rewritten shard splits above
+  // 2 * ceil(trees / 16).
+  std::shared_ptr<const LookupEngine> engine =
+      service.server->EngineSnapshotForTesting();
+  ASSERT_EQ(engine->size(), kCommits);
+  EXPECT_TRUE(engine->CheckInvariants().ok());
+  const int bound = 2 * ((kCommits + 15) / 16);
+  for (int trees : engine->ShardSizes()) EXPECT_LE(trees, bound);
   service.server->Stop();
 
   MetricsSnapshot after = Metrics::Default().Snapshot();
@@ -1275,9 +1281,8 @@ TEST(ServiceMetricsTest, SnapshotPublishesSplitIncrementalVsFull) {
       HistCount(before, "server.snapshot_incremental_us");
   const int64_t full = HistCount(after, "server.snapshot_full_us") -
                        HistCount(before, "server.snapshot_full_us");
-  EXPECT_GT(incremental, 0);
-  EXPECT_GT(full, 0);
-  EXPECT_GT(incremental, full);  // cadence 4: most publishes incremental
+  EXPECT_EQ(full, 1);  // the initial snapshot only
+  EXPECT_GE(incremental, kCommits);
   const int64_t reused =
       CounterValue(after, "lookup_engine.shards_reused") -
       CounterValue(before, "lookup_engine.shards_reused");
