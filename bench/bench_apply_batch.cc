@@ -5,8 +5,8 @@
 // bar is >= 5x; only 1 of ~16 shards is merge-patched). Section 2 sweeps
 // PersistentForestIndex::ApplyBatch over batch size x edit size x staging
 // threads, showing how the parallel delta phase scales, plus BulkAdd
-// ingest serial vs pooled. Section 3 isolates the bucket-clustered
-// staged-delta apply order (arrival order vs sorted). Section 4 is this
+// ingest serial vs pooled. Section 3 measures the WAL pages one
+// single-tree update commits (gate: at most 6). Section 4 is this
 // PR's acceptance gate: the same batched-update workload against a
 // single-shard store and a 4-shard ShardedStore -- one pager, WAL, and
 // group-commit lane per shard -- must clear a 2x throughput bar at full
@@ -107,8 +107,9 @@ int main(int argc, char** argv) {
 
   // --- Section 2: ApplyBatch staging sweep ------------------------------
   // Batched edits against the persistent store: the delta phase
-  // (flatten, hash, region-group, net-merge) fans out across a pool; the
-  // WAL transaction and table apply stay serial. Edits/s per cell.
+  // (flatten and sort each edit's run) fans out across a pool; the
+  // key-ordered B+-tree apply and the WAL transaction stay serial.
+  // Edits/s per cell.
   PrintHeader("ApplyBatch: batch size x edit size x staging threads");
   const int kStoreTrees = 512;
   const int kStoreBagTuples = 40;
@@ -217,71 +218,81 @@ int main(int argc, char** argv) {
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
 
-  // --- Section 3: bucket-clustered staged deltas ------------------------
-  // The staging phase clusters each transaction's postings deltas by
-  // destination hash bucket before the in-WAL apply, so the table walks
-  // each touched page region once instead of hopping in arrival order.
-  // Same ingest + update workload with the clustering off, then on.
-  PrintHeader("staged deltas: arrival order vs bucket-clustered");
+  // --- Section 3: per-edit commit footprint -----------------------------
+  // The store keeps the index relation ordered by (tree, fp), so one
+  // tree's update dirties the leaves holding that tree's tuple run, page
+  // 0 and one catalog page -- not one page per tuple. Single-edit
+  // UpdateTree commits on a DBLP-sized forest (1000 trees x 174 tuples),
+  // each retracting 10 stored tuples and adding 10 new ones; the WAL
+  // bytes per commit count the pages it logged.
+  PrintHeader("per-edit commit footprint: WAL pages per single-tree update");
   {
-    const int kSortBatch = 128;
-    const int kSortTuples = 32;
-    const int kSortRounds = Scaled(8);
-    double ms[2] = {0, 0};
-    for (int pass = 0; pass < 2; ++pass) {
-      const bool sorted = pass == 1;
-      PersistentForestIndex::SetBucketSortEnabled(sorted);
-      const std::string pass_path = path + (sorted ? ".bs_on" : ".bs_off");
-      std::remove(pass_path.c_str());
-      std::remove((pass_path + ".wal").c_str());
-      StatusOr<std::unique_ptr<PersistentForestIndex>> bs_store =
-          PersistentForestIndex::Create(pass_path, shape);
-      if (!bs_store.ok()) return 1;
-      double total_s = TimeIt([&] {
-        if (!(*bs_store)->BulkAdd(refs, &pool).ok()) std::exit(1);
-      });
-      for (int round = 0; round < kSortRounds; ++round) {
-        std::vector<PqGramIndex> plus;
-        PqGramIndex minus(shape);
-        plus.reserve(static_cast<size_t>(kSortBatch));
-        for (int b = 0; b < kSortBatch; ++b) {
-          plus.push_back(RandomBag(shape, &rng, kSortTuples));
-        }
-        std::vector<PersistentForestIndex::BatchEdit> edits;
-        for (int b = 0; b < kSortBatch; ++b) {
-          PersistentForestIndex::BatchEdit edit;
-          edit.id = static_cast<TreeId>(
-              (round * kSortBatch + b) % kStoreTrees);
-          edit.plus = &plus[static_cast<size_t>(b)];
-          edit.minus = &minus;
-          edits.push_back(edit);
-        }
-        std::vector<Status> results;
-        total_s += TimeIt([&] {
-          if (!(*bs_store)->ApplyBatch(edits, &results, nullptr, &pool).ok()) {
-            std::exit(1);
-          }
-        });
-      }
-      ms[pass] = total_s * 1e3;
-      std::remove(pass_path.c_str());
-      std::remove((pass_path + ".wal").c_str());
+    const int kFootTrees = 1000;
+    const int kFootTuples = 174;
+    const int kFootEdits = 64;
+    const double kMaxPagesPerEdit = 6;
+    const std::string foot_path = path + ".footprint";
+    std::remove(foot_path.c_str());
+    std::remove((foot_path + ".wal").c_str());
+    StatusOr<std::unique_ptr<PersistentForestIndex>> foot =
+        PersistentForestIndex::Create(foot_path, shape);
+    if (!foot.ok()) return 1;
+    std::vector<PqGramIndex> foot_bags;
+    std::vector<std::pair<TreeId, const PqGramIndex*>> foot_refs;
+    foot_bags.reserve(static_cast<size_t>(kFootTrees));
+    for (int i = 0; i < kFootTrees; ++i) {
+      foot_bags.push_back(RandomBag(shape, &rng, kFootTuples));
     }
-    PersistentForestIndex::SetBucketSortEnabled(true);
-    const double sort_speedup = ms[1] > 0 ? ms[0] / ms[1] : 0;
-    std::printf("%-32s %12.3f ms\n", "ingest+update, arrival order", ms[0]);
-    std::printf("%-32s %12.3f ms\n", "ingest+update, bucket-sorted", ms[1]);
-    std::printf("%-32s %11.2fx\n", "bucket-sort speedup", sort_speedup);
-    report.Add("bucket_sort_off_ms", ms[0], "ms");
-    report.Add("bucket_sort_on_ms", ms[1], "ms");
-    report.Add("bucket_sort_speedup", sort_speedup, "x");
+    for (int i = 0; i < kFootTrees; ++i) {
+      foot_refs.emplace_back(static_cast<TreeId>(i),
+                             &foot_bags[static_cast<size_t>(i)]);
+    }
+    if (!(*foot)->BulkAdd(foot_refs, &pool).ok()) return 1;
+    const int64_t wal_before = (*foot)->pager().wal_bytes();
+    const int64_t commits_before = (*foot)->pager().commits();
+    for (int e = 0; e < kFootEdits; ++e) {
+      const size_t tree = static_cast<size_t>(
+          rng.NextBounded(static_cast<uint64_t>(kFootTrees)));
+      PqGramIndex& stored = foot_bags[tree];
+      PqGramIndex minus(shape);
+      for (const auto& [fp, count] : stored.counts()) {
+        if (minus.size() == 10) break;
+        minus.Add(fp, 1);
+      }
+      PqGramIndex plus = RandomBag(shape, &rng, 10);
+      if (!(*foot)->UpdateTree(static_cast<TreeId>(tree), plus, minus).ok()) {
+        return 1;
+      }
+      for (const auto& [fp, count] : minus.counts()) stored.Remove(fp, count);
+      for (const auto& [fp, count] : plus.counts()) stored.Add(fp, count);
+    }
+    const int64_t commits = (*foot)->pager().commits() - commits_before;
+    const double wal_bytes_per_edit =
+        static_cast<double>((*foot)->pager().wal_bytes() - wal_before) /
+        kFootEdits;
+    // A WAL record is the page image plus its id and checksum.
+    const double pages_per_edit =
+        wal_bytes_per_edit / (kPageSize + sizeof(uint32_t) + sizeof(uint64_t));
+    std::printf("%-32s %12.0f B (%.2f pages, %lld commits)\n",
+                "WAL per single-tree update", wal_bytes_per_edit,
+                pages_per_edit, static_cast<long long>(commits));
+    report.Add("commit_wal_bytes_per_edit", wal_bytes_per_edit, "bytes");
+    report.Add("commit_pages_per_edit", pages_per_edit, "pages");
+    std::remove(foot_path.c_str());
+    std::remove((foot_path + ".wal").c_str());
+    if (pages_per_edit > kMaxPagesPerEdit) {
+      std::printf("WRITE: FAILED: %.2f WAL pages per single-tree update "
+                  "exceeds %.0f\n",
+                  pages_per_edit, kMaxPagesPerEdit);
+      return 1;
+    }
   }
 
   // --- Section 4: sharded store write throughput (the PR gate) ----------
   // Identical write traffic against one store and a 4-shard
-  // ShardedStore. Each shard owns a pager, WAL, and hash table, so a
+  // ShardedStore. Each shard owns a pager, WAL, and B+-tree, so a
   // group commit runs 4 independent prepare lanes (delta staging, WAL
-  // write, in-WAL table apply) across the pool where the single store
+  // write, in-WAL B+-tree apply) across the pool where the single store
   // serializes everything behind one WAL. The gate is ingest (BulkAdd),
   // whose serial insert loop is the single store's CPU bottleneck; the
   // batched-update numbers ride along with a per-phase split -- their

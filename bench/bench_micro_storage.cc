@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the storage substrate: pager
-// commit costs, linear-hash point operations, persistent-index updates,
+// commit costs, B+-tree point operations, persistent-index updates,
 // and streaming vs. materializing XML indexing.
 
 #include <benchmark/benchmark.h>
@@ -10,7 +10,7 @@
 #include "core/pqgram_index.h"
 #include "core/streaming.h"
 #include "edit/edit_script.h"
-#include "storage/linear_hash.h"
+#include "storage/bplus_tree.h"
 #include "storage/pager.h"
 #include "storage/persistent_forest_index.h"
 #include "tree/generators.h"
@@ -43,11 +43,11 @@ void BM_PagerCommitDirtyPages(benchmark::State& state) {
 BENCHMARK(BM_PagerCommitDirtyPages)->Arg(1)->Arg(16)->Arg(128)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_LinearHashGet(benchmark::State& state) {
+void BM_BPlusTreeGet(benchmark::State& state) {
   Pager pager(4096);
-  PQIDX_CHECK(pager.Open(BenchPath("lh_get.db"), true).ok());
-  LinearHashTable table(&pager);
-  PQIDX_CHECK(table.Create(pager.AllocatePage().value()).ok());
+  PQIDX_CHECK(pager.Open(BenchPath("bt_get.db"), true).ok());
+  BPlusTree table(&pager);
+  PQIDX_CHECK(table.Create(pager.AllocatePage().value(), 0).ok());
   Rng rng(2);
   const int64_t entries = state.range(0);
   for (int64_t i = 0; i < entries; ++i) {
@@ -58,15 +58,15 @@ void BM_LinearHashGet(benchmark::State& state) {
     benchmark::DoNotOptimize(table.Get(1, probe.Next()).value());
   }
 }
-BENCHMARK(BM_LinearHashGet)->Range(1 << 10, 1 << 18);
+BENCHMARK(BM_BPlusTreeGet)->Range(1 << 10, 1 << 18);
 
-void BM_LinearHashInsert(benchmark::State& state) {
+void BM_BPlusTreeInsert(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Pager pager(4096);
-    PQIDX_CHECK(pager.Open(BenchPath("lh_ins.db"), true).ok());
-    LinearHashTable table(&pager);
-    PQIDX_CHECK(table.Create(pager.AllocatePage().value()).ok());
+    PQIDX_CHECK(pager.Open(BenchPath("bt_ins.db"), true).ok());
+    BPlusTree table(&pager);
+    PQIDX_CHECK(table.Create(pager.AllocatePage().value(), 0).ok());
     Rng rng(4);
     state.ResumeTiming();
     for (int64_t i = 0; i < state.range(0); ++i) {
@@ -75,7 +75,7 @@ void BM_LinearHashInsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_LinearHashInsert)->Range(1 << 10, 1 << 16)
+BENCHMARK(BM_BPlusTreeInsert)->Range(1 << 10, 1 << 16)
     ->Unit(benchmark::kMillisecond);
 
 void BM_PersistentIndexApplyLog(benchmark::State& state) {

@@ -4,14 +4,17 @@
 //   ./build/fuzz/make_seed_corpus fuzz/corpus
 //
 // Each seed is a *valid* artifact (serialized index, well-formed XML,
-// committed hash-table image, sealed WAL): coverage-guided fuzzers
+// committed B+-tree image, sealed WAL): coverage-guided fuzzers
 // mutate outward from the accepting paths, which reaches far deeper than
 // random bytes, and the standalone smoke mode replays them to pin the
 // happy paths under sanitizers.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -19,7 +22,7 @@
 #include "core/forest_index.h"
 #include "core/pqgram_index.h"
 #include "service/wire.h"
-#include "storage/linear_hash.h"
+#include "storage/bplus_tree.h"
 #include "storage/pager.h"
 #include "storage/shard_manifest.h"
 #include "storage/tree_store.h"
@@ -90,29 +93,76 @@ Status MakeXmlSeeds(const std::string& dir) {
   return Status::Ok();
 }
 
-Status MakeLinearHashSeeds(const std::string& dir) {
+// One committed B+-tree page file per way the tree grows: scattered
+// inserts (even leaf splits, a root split) and a right-edge bulk load
+// (90%-packed leaves). Both stay under the harness's 64-page cap.
+Status MakeBPlusTreeSeeds(const std::string& dir) {
   std::filesystem::create_directories(dir);
-  const std::string tmp = dir + "/.tmp_lh.pages";
-  {
-    Pager pager(64);
-    PQIDX_RETURN_IF_ERROR(pager.Open(tmp, /*create=*/true));
-    StatusOr<PageId> meta = pager.AllocatePage();
-    PQIDX_RETURN_IF_ERROR(meta.status());
-    LinearHashTable table(&pager);
-    PQIDX_RETURN_IF_ERROR(table.Create(*meta));
-    // Enough entries to force overflow chains and at least one split.
-    for (uint32_t i = 0; i < 1500; ++i) {
-      PQIDX_RETURN_IF_ERROR(
-          table.AddDelta(i % 7, 0x9e3779b97f4a7c15ULL * i, 1 + i % 3));
+  const std::string tmp = dir + "/.tmp_bt.pages";
+  for (const bool bulk : {false, true}) {
+    {
+      Pager pager(64);
+      PQIDX_RETURN_IF_ERROR(pager.Open(tmp, /*create=*/true));
+      StatusOr<PageId> meta = pager.AllocatePage();
+      PQIDX_RETURN_IF_ERROR(meta.status());
+      BPlusTree tree(&pager);
+      PQIDX_RETURN_IF_ERROR(tree.Create(*meta, 0));
+      if (bulk) {
+        std::vector<BPlusTree::Entry> run;
+        for (uint32_t i = 0; i < 1500; ++i) {
+          run.push_back({i / 200, 0x9e3779b97f4a7c15ULL * (i % 200 + 1) >> 8,
+                         1 + i % 3});
+        }
+        std::sort(run.begin(), run.end(),
+                  [](const BPlusTree::Entry& a, const BPlusTree::Entry& b) {
+                    return a.tree < b.tree ||
+                           (a.tree == b.tree && a.fp < b.fp);
+                  });
+        PQIDX_RETURN_IF_ERROR(tree.AddSorted(run));
+      } else {
+        for (uint32_t i = 0; i < 1500; ++i) {
+          PQIDX_RETURN_IF_ERROR(
+              tree.AddDelta(i % 7, 0x9e3779b97f4a7c15ULL * i, 1 + i % 3));
+        }
+      }
+      PQIDX_RETURN_IF_ERROR(pager.Commit());
+      PQIDX_RETURN_IF_ERROR(pager.Close());
     }
-    PQIDX_RETURN_IF_ERROR(pager.Commit());
-    PQIDX_RETURN_IF_ERROR(pager.Close());
+    std::string image;
+    PQIDX_RETURN_IF_ERROR(ReadFile(tmp, &image));
+    std::remove(tmp.c_str());
+    std::remove((tmp + ".wal").c_str());
+    PQIDX_RETURN_IF_ERROR(WriteSeed(
+        dir, bulk ? "bulk_load.pages" : "scattered.pages", image));
+    if (bulk) continue;
+    // Hostile variants of the scattered image (docs/FORMATS.md layout):
+    // the smoke run must see each fail with a Status, not crash or hang.
+    auto u32_at = [&image](size_t off) {
+      uint32_t v;
+      std::memcpy(&v, image.data() + off, sizeof(v));
+      return v;
+    };
+    auto mangled = [&image](size_t off, uint32_t v) {
+      std::string copy = image;
+      std::memcpy(copy.data() + off, &v, sizeof(v));
+      return copy;
+    };
+    const size_t root = size_t{u32_at(4)} * kPageSize;  // meta: root id
+    const uint32_t leaf = u32_at(root + 12);            // root's child 0
+    const size_t leaf_off = size_t{leaf} * kPageSize;
+    const uint32_t pages = static_cast<uint32_t>(image.size() / kPageSize);
+    const std::pair<const char*, std::string> variants[] = {
+        {"hostile_count.pages", mangled(leaf_off + 4, 0xffff)},
+        {"child_past_end.pages", mangled(root + 12, pages + 5)},
+        {"child_cycle.pages", mangled(root + 12, u32_at(4))},
+        {"sibling_cycle.pages", mangled(leaf_off + 8, leaf)},
+        {"keys_out_of_order.pages", mangled(leaf_off + 16, 0xfffffff0u)},
+    };
+    for (const auto& [name, bytes] : variants) {
+      PQIDX_RETURN_IF_ERROR(WriteSeed(dir, name, bytes));
+    }
   }
-  std::string image;
-  PQIDX_RETURN_IF_ERROR(ReadFile(tmp, &image));
-  std::remove(tmp.c_str());
-  std::remove((tmp + ".wal").c_str());
-  return WriteSeed(dir, "table.pages", image);
+  return Status::Ok();
 }
 
 Status MakePagerSeeds(const std::string& dir) {
@@ -407,7 +457,7 @@ int main(int argc, char** argv) {
   const Job jobs[] = {
       {"serde", pqidx::MakeSerdeSeeds},
       {"xml_scanner", pqidx::MakeXmlSeeds},
-      {"linear_hash", pqidx::MakeLinearHashSeeds},
+      {"bplus_tree", pqidx::MakeBPlusTreeSeeds},
       {"pager", pqidx::MakePagerSeeds},
       {"manifest", pqidx::MakeManifestSeeds},
       {"wire", pqidx::MakeWireSeeds},

@@ -1,8 +1,10 @@
 #include "storage/persistent_forest_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <map>
 
 #include "common/metrics.h"
 #include "core/incremental.h"
@@ -11,30 +13,34 @@ namespace pqidx {
 namespace {
 
 constexpr uint32_t kStoreMagic = 0x50515046;  // "PQPF"
-constexpr uint32_t kStoreVersion = 1;
+// Version 2 keeps the index relation in a B+-tree ordered by (tree, fp);
+// version 1 kept it in a linear hash table and is no longer readable.
+constexpr uint32_t kStoreVersion = 2;
+constexpr uint32_t kHashLayoutVersion = 1;
 
 // Store meta (page 0) layout.
 constexpr int kMagicOff = 0;
 constexpr int kVersionOff = 4;
 constexpr int kShapePOff = 8;
 constexpr int kShapeQOff = 9;
-constexpr int kHashMetaOff = 12;
 constexpr int kCatalogHeadOff = 16;
-// u64 replication cursor (service/replication.h). Added after v1 files
-// already existed: the bytes were zero then, and cursor 0 means "never
-// replicated", so old files stay readable without a version bump.
+// u64 replication cursor (service/replication.h); 0 = never replicated.
 constexpr int kCursorOff = 20;
-// u64 store commit ticket (storage/sharded_store.h). Same
-// compatibility argument: pre-shard files read 0, and ticket 0 means
-// "never group-committed", so no version bump either.
+// u64 store commit ticket (storage/sharded_store.h); 0 = never
+// group-committed.
 constexpr int kTicketOff = 28;
+// The B+-tree's meta record (root, height, entry count) lives on page 0
+// too, so a commit dirties no separate table meta page.
+constexpr int kTreeMetaOff = 40;
+static_assert(kTreeMetaOff + BPlusTree::kMetaSize <= kPageSize);
 
 // Catalog page layout.
 constexpr int kCatNextOff = 0;
 constexpr int kCatCountOff = 4;
 constexpr int kCatEntriesOff = 8;
 constexpr int kCatEntrySize = 12;  // tree u32 + size i64
-constexpr int kCatPerPage = (kPageSize - kCatEntriesOff) / kCatEntrySize;
+constexpr size_t kCatPerPage = (kPageSize - kCatEntriesOff) / kCatEntrySize;
+constexpr size_t kNoPage = std::numeric_limits<size_t>::max();
 
 template <typename T>
 T Load(const uint8_t* page, int offset) {
@@ -48,79 +54,101 @@ void Store(uint8_t* page, int offset, T value) {
   std::memcpy(page + offset, &value, sizeof(T));
 }
 
-// One (tree, fp) tuple delta tagged with its staging region and its
-// destination bucket snapshot; the unit of the parallel δ-phase
-// (flatten/hash in parallel, merge per region in parallel, apply
-// serially in bucket order so page touches cluster).
-struct StagedDelta {
-  uint32_t region;
-  uint32_t bucket;
-  uint32_t tree;
-  uint64_t fp;
-  int64_t delta;
-};
+// A (tree, fp) tuple delta: the unit the δ-phase stages and applies.
+using Delta = BPlusTree::Entry;
 
-// Bench hook (SetBucketSortEnabled): the bucket-clustered apply order
-// is on by default; BENCH_WRITE flips it off to measure the win.
-std::atomic<bool> g_bucket_sort_enabled{true};
-
-// How many staging regions a pool of `lanes` workers gets. More regions
-// than lanes keeps the merge balanced when the hash skews; the cap keeps
-// the per-region fixed cost negligible for small batches.
-uint32_t StagingRegions(int lanes) {
-  return static_cast<uint32_t>(std::min(64, std::max(1, lanes * 2)));
+// The B+-tree orders its u32 tree field unsigned, the catalog orders
+// TreeIds signed. Flipping the sign bit maps one order onto the other,
+// so a negative id's run sits before id 0 in the leaves just as its
+// entry does in the catalog, and the two can be walked in lockstep.
+uint32_t TreeKey(TreeId id) {
+  return static_cast<uint32_t>(id) ^ 0x80000000u;
 }
 
-// Gathers region `region`'s tuples from the per-edit flats, orders them
-// by (bucket, key) -- equal keys share a bucket, so coalescing below
-// still sees duplicates adjacent -- and coalesces duplicate keys into
-// net deltas (zero nets are dropped entirely). The bucket-major order
-// is what clusters the serial apply's page touches; with the bench
-// hook off it degrades to plain key order. Safe to run for distinct
-// regions concurrently.
-void MergeRegionRun(const std::vector<std::vector<StagedDelta>>& flat,
-                    uint32_t region, std::vector<StagedDelta>* run) {
-  for (const std::vector<StagedDelta>& edit_deltas : flat) {
-    for (const StagedDelta& d : edit_deltas) {
-      if (d.region == region) run->push_back(d);
-    }
-  }
-  const bool by_bucket = g_bucket_sort_enabled.load(std::memory_order_relaxed);
-  std::sort(run->begin(), run->end(),
-            [by_bucket](const StagedDelta& a, const StagedDelta& b) {
-              if (by_bucket && a.bucket != b.bucket) {
-                return a.bucket < b.bucket;
-              }
-              return a.tree < b.tree || (a.tree == b.tree && a.fp < b.fp);
-            });
-  size_t w = 0;
-  for (size_t i = 0; i < run->size();) {
-    size_t k = i;
-    int64_t net = 0;
-    while (k < run->size() && (*run)[k].tree == (*run)[i].tree &&
-           (*run)[k].fp == (*run)[i].fp) {
-      net += (*run)[k].delta;
+TreeId TreeOfKey(uint32_t key) {
+  return static_cast<TreeId>(key ^ 0x80000000u);
+}
+
+bool KeyLess(const Delta& a, const Delta& b) {
+  return a.tree < b.tree || (a.tree == b.tree && a.fp < b.fp);
+}
+
+// Sorts deltas[begin..] by (tree, fp) and coalesces duplicate keys into
+// net deltas, dropping zero nets: the apply then walks each tree's leaf
+// run once, in order, and a tuple retracted and re-added in the same
+// transaction never touches the B+-tree at all.
+void SortAndCoalesce(std::vector<Delta>* deltas, size_t begin = 0) {
+  std::sort(deltas->begin() + static_cast<ptrdiff_t>(begin), deltas->end(),
+            KeyLess);
+  size_t w = begin;
+  for (size_t i = begin; i < deltas->size();) {
+    Delta net = (*deltas)[i];
+    size_t k = i + 1;
+    while (k < deltas->size() && !KeyLess(net, (*deltas)[k])) {
+      net.count += (*deltas)[k].count;
       ++k;
     }
-    if (net != 0) {
-      (*run)[w] = (*run)[i];
-      (*run)[w].delta = net;
-      ++w;
-    }
+    if (net.count != 0) (*deltas)[w++] = net;
     i = k;
   }
-  run->resize(w);
+  deltas->resize(w);
+}
+
+// The staged tuple deltas of one edit, i.e. of one tree.
+struct EditRun {
+  uint32_t tree = 0;
+  std::vector<Delta> deltas;
+};
+
+void StageBag(const PqGramIndex& bag, int64_t sign, EditRun* run) {
+  for (const auto& [fp, count] : bag.counts()) {
+    run->deltas.push_back({run->tree, fp, sign * count});
+  }
+}
+
+// Builds the per-edit runs in parallel (with `pool`), then concatenates
+// them in tree order into one (tree, fp)-sorted, coalesced delta list.
+// Runs of the same tree (an add and a later update in one batch) are
+// merged; distinct trees only need ordering, never a global sort.
+std::vector<Delta> StageRuns(size_t n,
+                             const std::function<void(size_t, EditRun*)>& fill,
+                             ThreadPool* pool) {
+  std::vector<EditRun> runs(n);
+  auto stage = [&](int64_t j) {
+    EditRun* run = &runs[static_cast<size_t>(j)];
+    fill(static_cast<size_t>(j), run);
+    SortAndCoalesce(&run->deltas);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(static_cast<int64_t>(n), stage);
+  } else {
+    for (size_t j = 0; j < n; ++j) stage(static_cast<int64_t>(j));
+  }
+  std::vector<size_t> order(n);
+  size_t total = 0;
+  for (size_t j = 0; j < n; ++j) {
+    order[j] = j;
+    total += runs[j].deltas.size();
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return runs[a].tree < runs[b].tree;
+  });
+  std::vector<Delta> out;
+  out.reserve(total);
+  for (size_t i = 0; i < n;) {
+    const size_t begin = out.size();
+    size_t k = i;
+    for (; k < n && runs[order[k]].tree == runs[order[i]].tree; ++k) {
+      const std::vector<Delta>& deltas = runs[order[k]].deltas;
+      out.insert(out.end(), deltas.begin(), deltas.end());
+    }
+    if (k - i > 1) SortAndCoalesce(&out, begin);
+    i = k;
+  }
+  return out;
 }
 
 }  // namespace
-
-void PersistentForestIndex::SetBucketSortEnabled(bool enabled) {
-  g_bucket_sort_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool PersistentForestIndex::bucket_sort_enabled() {
-  return g_bucket_sort_enabled.load(std::memory_order_relaxed);
-}
 
 StatusOr<std::unique_ptr<PersistentForestIndex>>
 PersistentForestIndex::Create(const std::string& path, PqShape shape,
@@ -163,11 +191,8 @@ Status PersistentForestIndex::InitializeNew(const std::string& path,
   StatusOr<PageId> meta = pager_.AllocatePage();
   PQIDX_RETURN_IF_ERROR(meta.status());
   PQIDX_CHECK(*meta == 0);
-  StatusOr<PageId> hash_meta = pager_.AllocatePage();
-  PQIDX_RETURN_IF_ERROR(hash_meta.status());
   StatusOr<PageId> catalog = pager_.AllocatePage();
   PQIDX_RETURN_IF_ERROR(catalog.status());
-  catalog_head_ = *catalog;
   {
     StatusOr<uint8_t*> page = pager_.MutablePage(0);
     PQIDX_RETURN_IF_ERROR(page.status());
@@ -175,10 +200,12 @@ Status PersistentForestIndex::InitializeNew(const std::string& path,
     Store(*page, kVersionOff, kStoreVersion);
     Store(*page, kShapePOff, static_cast<uint8_t>(shape.p));
     Store(*page, kShapeQOff, static_cast<uint8_t>(shape.q));
-    Store(*page, kHashMetaOff, static_cast<uint32_t>(*hash_meta));
-    Store(*page, kCatalogHeadOff, static_cast<uint32_t>(catalog_head_));
+    Store(*page, kCatalogHeadOff, static_cast<uint32_t>(*catalog));
   }
-  PQIDX_RETURN_IF_ERROR(table_.Create(*hash_meta));
+  catalog_.clear();
+  catalog_pages_ = {*catalog};
+  catalog_pages_used_ = 0;
+  PQIDX_RETURN_IF_ERROR(table_.Create(0, kTreeMetaOff));
   return pager_.Commit();
 }
 
@@ -210,72 +237,128 @@ Status PersistentForestIndex::OpenExisting(const std::string& path,
   if (Load<uint32_t>(*page, kMagicOff) != kStoreMagic) {
     return DataLossError("not a pqidx persistent index: " + path);
   }
-  if (Load<uint32_t>(*page, kVersionOff) != kStoreVersion) {
-    return DataLossError("unsupported persistent index version");
+  const uint32_t version = Load<uint32_t>(*page, kVersionOff);
+  if (version == kHashLayoutVersion) {
+    return FailedPreconditionError(
+        "persistent index " + path + " is version " +
+        std::to_string(kHashLayoutVersion) +
+        " (linear-hash layout); this build reads only version " +
+        std::to_string(kStoreVersion) +
+        " (B+-tree layout): rebuild the store from its documents");
+  }
+  if (version != kStoreVersion) {
+    return DataLossError("unsupported persistent index version " +
+                         std::to_string(version));
   }
   shape_.p = Load<uint8_t>(*page, kShapePOff);
   shape_.q = Load<uint8_t>(*page, kShapeQOff);
   if (!shape_.Valid()) return DataLossError("bad index shape");
-  PageId hash_meta = Load<uint32_t>(*page, kHashMetaOff);
-  catalog_head_ = Load<uint32_t>(*page, kCatalogHeadOff);
-  cursor_ = Load<uint64_t>(*page, kCursorOff);
-  ticket_ = Load<uint64_t>(*page, kTicketOff);
-  PQIDX_RETURN_IF_ERROR(table_.Attach(hash_meta));
-  return LoadCatalog();
+  return ReloadCaches();
 }
 
-Status PersistentForestIndex::LoadCatalog() {
+Status PersistentForestIndex::LoadCatalog(PageId head) {
   catalog_.clear();
-  for (PageId page_id = catalog_head_; page_id != 0;) {
+  catalog_pages_.clear();
+  catalog_dirty_pages_.clear();
+  catalog_rewrite_from_ = kNoPage;
+  for (PageId page_id = head; page_id != 0;) {
+    // A chain can never have more pages than the file itself.
+    if (page_id >= pager_.page_count() ||
+        catalog_pages_.size() >= pager_.page_count()) {
+      return DataLossError("corrupt catalog chain");
+    }
     StatusOr<const uint8_t*> page = pager_.ReadPage(page_id);
     PQIDX_RETURN_IF_ERROR(page.status());
-    int count = Load<uint16_t>(*page, kCatCountOff);
+    size_t count = Load<uint16_t>(*page, kCatCountOff);
     if (count > kCatPerPage) return DataLossError("corrupt catalog page");
-    for (int slot = 0; slot < count; ++slot) {
-      int off = kCatEntriesOff + slot * kCatEntrySize;
-      TreeId id = static_cast<TreeId>(Load<uint32_t>(*page, off));
-      catalog_[id] = Load<int64_t>(*page, off + 4);
+    for (size_t slot = 0; slot < count; ++slot) {
+      int off = kCatEntriesOff + static_cast<int>(slot) * kCatEntrySize;
+      CatalogEntry entry{static_cast<TreeId>(Load<uint32_t>(*page, off)),
+                         Load<int64_t>(*page, off + 4)};
+      if (!catalog_.empty() && catalog_.back().id >= entry.id) {
+        return DataLossError("catalog ids out of order");
+      }
+      catalog_.push_back(entry);
     }
+    catalog_pages_.push_back(page_id);
     page_id = Load<uint32_t>(*page, kCatNextOff);
   }
+  if (catalog_pages_.empty()) return DataLossError("missing catalog page");
+  catalog_pages_used_ = catalog_pages_.size();
+  return Status::Ok();
+}
+
+std::vector<PersistentForestIndex::CatalogEntry>::iterator
+PersistentForestIndex::CatalogLowerBound(TreeId id) {
+  return std::lower_bound(
+      catalog_.begin(), catalog_.end(), id,
+      [](const CatalogEntry& e, TreeId key) { return e.id < key; });
+}
+
+void PersistentForestIndex::SetCatalogSize(TreeId id, int64_t size) {
+  auto it = CatalogLowerBound(id);
+  const size_t pos = static_cast<size_t>(it - catalog_.begin());
+  if (it != catalog_.end() && it->id == id) {
+    // In place: only the page holding the entry changes.
+    it->size = size;
+    catalog_dirty_pages_.push_back(pos / kCatPerPage);
+    return;
+  }
+  // An insert shifts every later entry; for an ascending new id that is
+  // just the last page (an append).
+  catalog_.insert(it, {id, size});
+  catalog_rewrite_from_ = std::min(catalog_rewrite_from_, pos / kCatPerPage);
+}
+
+void PersistentForestIndex::EraseCatalog(TreeId id) {
+  auto it = CatalogLowerBound(id);
+  if (it == catalog_.end() || it->id != id) return;
+  const size_t pos = static_cast<size_t>(it - catalog_.begin());
+  catalog_.erase(it);
+  catalog_rewrite_from_ = std::min(catalog_rewrite_from_, pos / kCatPerPage);
+}
+
+Status PersistentForestIndex::WriteCatalogPage(size_t k) {
+  while (catalog_pages_.size() <= k) {
+    // Extend the chain.
+    StatusOr<PageId> fresh = pager_.AllocatePage();
+    PQIDX_RETURN_IF_ERROR(fresh.status());
+    StatusOr<uint8_t*> prev = pager_.MutablePage(catalog_pages_.back());
+    PQIDX_RETURN_IF_ERROR(prev.status());
+    Store(*prev, kCatNextOff, static_cast<uint32_t>(*fresh));
+    catalog_pages_.push_back(*fresh);
+  }
+  StatusOr<uint8_t*> page = pager_.MutablePage(catalog_pages_[k]);
+  PQIDX_RETURN_IF_ERROR(page.status());
+  const size_t begin = std::min(k * kCatPerPage, catalog_.size());
+  const size_t end = std::min(begin + kCatPerPage, catalog_.size());
+  for (size_t i = begin; i < end; ++i) {
+    int off = kCatEntriesOff + static_cast<int>(i - begin) * kCatEntrySize;
+    Store(*page, off, static_cast<uint32_t>(catalog_[i].id));
+    Store(*page, off + 4, catalog_[i].size);
+  }
+  Store(*page, kCatCountOff, static_cast<uint16_t>(end - begin));
   return Status::Ok();
 }
 
 Status PersistentForestIndex::StoreCatalog() {
-  auto it = catalog_.begin();
-  PageId page_id = catalog_head_;
-  PageId prev = 0;
-  while (page_id != 0 || it != catalog_.end()) {
-    if (page_id == 0) {
-      // Extend the chain.
-      StatusOr<PageId> fresh = pager_.AllocatePage();
-      PQIDX_RETURN_IF_ERROR(fresh.status());
-      StatusOr<uint8_t*> prev_page = pager_.MutablePage(prev);
-      PQIDX_RETURN_IF_ERROR(prev_page.status());
-      Store(*prev_page, kCatNextOff, static_cast<uint32_t>(*fresh));
-      page_id = *fresh;
+  const size_t needed = (catalog_.size() + kCatPerPage - 1) / kCatPerPage;
+  for (size_t k : catalog_dirty_pages_) {
+    if (k < catalog_rewrite_from_) {
+      PQIDX_RETURN_IF_ERROR(WriteCatalogPage(k));
     }
-    StatusOr<uint8_t*> page = pager_.MutablePage(page_id);
-    PQIDX_RETURN_IF_ERROR(page.status());
-    int count = 0;
-    while (it != catalog_.end() && count < kCatPerPage) {
-      int off = kCatEntriesOff + count * kCatEntrySize;
-      Store(*page, off, static_cast<uint32_t>(it->first));
-      Store(*page, off + 4, it->second);
-      ++it;
-      ++count;
+  }
+  if (catalog_rewrite_from_ != kNoPage) {
+    // Everything from the first shifted page on, including pages a
+    // shrinking catalog leaves empty.
+    const size_t last = std::max(needed, catalog_pages_used_);
+    for (size_t k = catalog_rewrite_from_; k < last; ++k) {
+      PQIDX_RETURN_IF_ERROR(WriteCatalogPage(k));
     }
-    Store(*page, kCatCountOff, static_cast<uint16_t>(count));
-    prev = page_id;
-    page_id = Load<uint32_t>(*page, kCatNextOff);
+    catalog_pages_used_ = needed;
   }
-  // Zero out any trailing chain pages left from a larger catalog.
-  while (page_id != 0) {
-    StatusOr<uint8_t*> page = pager_.MutablePage(page_id);
-    PQIDX_RETURN_IF_ERROR(page.status());
-    Store(*page, kCatCountOff, uint16_t{0});
-    page_id = Load<uint32_t>(*page, kCatNextOff);
-  }
+  catalog_dirty_pages_.clear();
+  catalog_rewrite_from_ = kNoPage;
   return Status::Ok();
 }
 
@@ -310,21 +393,20 @@ Status PersistentForestIndex::CommitOrCrash(bool prepare) {
   return pager_.Commit();
 }
 
-// Restores the in-memory caches (catalog head, cursor, ticket,
-// linear-hash meta, catalog map) from the committed page 0.
+// Restores the in-memory caches (cursor, ticket, B+-tree meta, catalog)
+// from the committed page 0.
 Status PersistentForestIndex::ReloadCaches() {
   StatusOr<const uint8_t*> page = pager_.ReadPage(0);
   PQIDX_RETURN_IF_ERROR(page.status());
-  catalog_head_ = Load<uint32_t>(*page, kCatalogHeadOff);
+  const PageId catalog_head = Load<uint32_t>(*page, kCatalogHeadOff);
   cursor_ = Load<uint64_t>(*page, kCursorOff);
   ticket_ = Load<uint64_t>(*page, kTicketOff);
-  PageId hash_meta = Load<uint32_t>(*page, kHashMetaOff);
-  PQIDX_RETURN_IF_ERROR(table_.Attach(hash_meta));
-  return LoadCatalog();
+  PQIDX_RETURN_IF_ERROR(table_.Attach(0, kTreeMetaOff));
+  return LoadCatalog(catalog_head);
 }
 
 // Discards uncommitted page changes and restores the in-memory caches
-// (catalog, linear-hash meta) from the committed state.
+// (catalog, B+-tree meta) from the committed state.
 Status PersistentForestIndex::RollbackAndReload(Status cause) {
   // The reload steps are deliberately best-effort: we are already on the
   // error path and must surface `cause`, not a secondary reload failure
@@ -347,31 +429,20 @@ Status PersistentForestIndex::AbortPrepared() {
 std::vector<TreeId> PersistentForestIndex::TreeIds() const {
   std::vector<TreeId> ids;
   ids.reserve(catalog_.size());
-  for (const auto& [id, size] : catalog_) ids.push_back(id);
+  for (const CatalogEntry& entry : catalog_) ids.push_back(entry.id);
   return ids;
 }
 
 int64_t PersistentForestIndex::TreeBagSize(TreeId id) const {
-  auto it = catalog_.find(id);
-  return it == catalog_.end() ? -1 : it->second;
+  auto it = std::lower_bound(
+      catalog_.begin(), catalog_.end(), id,
+      [](const CatalogEntry& e, TreeId key) { return e.id < key; });
+  return it == catalog_.end() || it->id != id ? -1 : it->size;
 }
 
 Status PersistentForestIndex::AddIndex(TreeId id,
                                        const PqGramIndex& index) {
-  if (!(index.shape() == shape_)) {
-    return InvalidArgumentError("index shape does not match the store");
-  }
-  if (catalog_.contains(id)) {
-    return FailedPreconditionError("tree already in the store");
-  }
-  for (const auto& [fp, count] : index.counts()) {
-    Status status = table_.AddDelta(static_cast<uint32_t>(id), fp, count);
-    if (!status.ok()) return RollbackAndReload(status);
-  }
-  catalog_[id] = index.size();
-  Status stored = StoreCatalog();
-  if (!stored.ok()) return RollbackAndReload(stored);
-  return CommitOrCrash();
+  return BulkAdd({{id, &index}}, nullptr, TxnOptions{});
 }
 
 Status PersistentForestIndex::AddTree(TreeId id, const Tree& tree) {
@@ -389,57 +460,59 @@ Status PersistentForestIndex::BulkAdd(
 Status PersistentForestIndex::BulkAdd(
     const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
     ThreadPool* pool, const TxnOptions& txn) {
+  std::vector<CatalogEntry> adds;
+  adds.reserve(bags.size());
   for (const auto& [id, bag] : bags) {
     if (!(bag->shape() == shape_)) {
       return InvalidArgumentError("index shape does not match the store");
     }
-    if (catalog_.contains(id)) {
+    if (TreeBagSize(id) >= 0) {
       return FailedPreconditionError("tree " + std::to_string(id) +
                                      " already in the store");
     }
+    adds.push_back({id, bag->size()});
   }
-  const uint32_t regions =
-      pool == nullptr ? 1 : StagingRegions(pool->num_threads());
-  std::vector<std::vector<StagedDelta>> flat(bags.size());
-  auto flatten = [&](int64_t j) {
-    const auto& [id, bag] = bags[static_cast<size_t>(j)];
-    const uint32_t tree = static_cast<uint32_t>(id);
-    std::vector<StagedDelta>& out = flat[static_cast<size_t>(j)];
-    out.reserve(bag->counts().size());
-    for (const auto& [fp, count] : bag->counts()) {
-      out.push_back({LinearHashTable::StagingRegion(tree, fp, regions),
-                     table_.BucketForKey(tree, fp), tree, fp, count});
-    }
-  };
-  std::vector<std::vector<StagedDelta>> runs(regions);
-  auto merge = [&](int64_t r) {
-    MergeRegionRun(flat, static_cast<uint32_t>(r),
-                   &runs[static_cast<size_t>(r)]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(flat.size()), flatten);
-    pool->ParallelFor(static_cast<int64_t>(regions), merge);
-  } else {
-    for (size_t j = 0; j < flat.size(); ++j) {
-      flatten(static_cast<int64_t>(j));
-    }
-    for (uint32_t r = 0; r < regions; ++r) {
-      merge(static_cast<int64_t>(r));
+  std::sort(adds.begin(), adds.end(),
+            [](const CatalogEntry& a, const CatalogEntry& b) {
+              return a.id < b.id;
+            });
+  for (size_t i = 1; i < adds.size(); ++i) {
+    if (adds[i].id == adds[i - 1].id) {
+      return InvalidArgumentError("tree " + std::to_string(adds[i].id) +
+                                  " appears twice in one bulk add");
     }
   }
-  for (const std::vector<StagedDelta>& run : runs) {
-    for (const StagedDelta& d : run) {
-      Status status = table_.AddDelta(d.tree, d.fp, d.delta);
-      if (!status.ok()) return RollbackAndReload(status);
-    }
+  // Each bag becomes a sorted run in parallel; the runs concatenate in
+  // id order, so new ids above every stored one bulk-load leaf by leaf.
+  std::vector<Delta> deltas = StageRuns(
+      bags.size(),
+      [&](size_t j, EditRun* run) {
+        run->tree = TreeKey(bags[j].first);
+        run->deltas.reserve(bags[j].second->counts().size());
+        StageBag(*bags[j].second, 1, run);
+      },
+      pool);
+  Status status = table_.AddSorted(deltas);
+  if (!status.ok()) return RollbackAndReload(status);
+  if (!adds.empty()) {
+    auto first = CatalogLowerBound(adds.front().id);
+    const size_t pos = static_cast<size_t>(first - catalog_.begin());
+    catalog_rewrite_from_ = std::min(catalog_rewrite_from_, pos / kCatPerPage);
+    const size_t old_size = catalog_.size();
+    catalog_.insert(catalog_.end(), adds.begin(), adds.end());
+    std::inplace_merge(catalog_.begin() + static_cast<ptrdiff_t>(pos),
+                       catalog_.begin() + static_cast<ptrdiff_t>(old_size),
+                       catalog_.end(),
+                       [](const CatalogEntry& a, const CatalogEntry& b) {
+                         return a.id < b.id;
+                       });
   }
-  for (const auto& [id, bag] : bags) catalog_[id] = bag->size();
-  Status stored = StoreCatalog();
-  if (!stored.ok()) return RollbackAndReload(stored);
-  stored = StoreCursor(txn.cursor);
-  if (!stored.ok()) return RollbackAndReload(stored);
-  stored = StoreTicket(txn.ticket);
-  if (!stored.ok()) return RollbackAndReload(stored);
+  status = StoreCatalog();
+  if (!status.ok()) return RollbackAndReload(status);
+  status = StoreCursor(txn.cursor);
+  if (!status.ok()) return RollbackAndReload(status);
+  status = StoreTicket(txn.ticket);
+  if (!status.ok()) return RollbackAndReload(status);
   return CommitOrCrash(txn.prepare);
 }
 
@@ -492,8 +565,7 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
   auto staged_size = [&](TreeId id) -> int64_t {
     auto it = staged_sizes.find(id);
     if (it != staged_sizes.end()) return it->second;
-    auto cat = catalog_.find(id);
-    return cat == catalog_.end() ? -1 : cat->second;
+    return TreeBagSize(id);
   };
   std::vector<bool> staged(edits.size(), false);
   int num_staged = 0;
@@ -549,9 +621,13 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
 
   // Phase 2: stage the tuple deltas. Any failure here (I/O, or a
   // negative net the stored bag cannot cover) aborts the whole
-  // transaction. Flattening/hashing and the per-region net-delta merge
-  // are side-effect-free and fan out across `pool`; only the final
-  // region-ordered apply touches the (non-thread-safe) table and pager.
+  // transaction. Flattening and sorting each edit's run is
+  // side-effect-free and fans out across `pool`; only the final
+  // key-ordered apply touches the (non-thread-safe) B+-tree and pager.
+  // Per (tree, fp) key the batch's deltas are summed before the apply,
+  // so a minus tuple the stored bag lacks is only detected when its
+  // *net* is negative (callers pre-validate sub-bags, as the contract
+  // requires).
   auto fail_batch = [&](Status cause) {
     for (size_t i = 0; i < edits.size(); ++i) {
       if (staged[i]) (*results)[i] = cause;
@@ -565,64 +641,30 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
     if (staged[i]) staged_edits.push_back(i);
   }
   const int lanes = pool == nullptr ? 1 : pool->num_threads();
-  const uint32_t regions = pool == nullptr ? 1 : StagingRegions(lanes);
-  std::vector<std::vector<StagedDelta>> flat(staged_edits.size());
-  auto flatten = [&](int64_t j) {
-    const BatchEdit& edit = edits[staged_edits[static_cast<size_t>(j)]];
-    const uint32_t tree = static_cast<uint32_t>(edit.id);
-    std::vector<StagedDelta>& out = flat[static_cast<size_t>(j)];
-    auto emit = [&](const PqGramIndex& bag, int64_t sign) {
-      for (const auto& [fp, count] : bag.counts()) {
-        out.push_back({LinearHashTable::StagingRegion(tree, fp, regions),
-                       table_.BucketForKey(tree, fp), tree, fp,
-                       sign * count});
-      }
-    };
-    if (edit.add != nullptr) {
-      out.reserve(edit.add->counts().size());
-      emit(*edit.add, 1);
-    } else {
-      out.reserve(edit.minus->counts().size() +
-                  edit.plus->counts().size());
-      emit(*edit.minus, -1);
-      emit(*edit.plus, 1);
-    }
-  };
-  std::vector<std::vector<StagedDelta>> runs(regions);
-  auto merge = [&](int64_t r) {
-    MergeRegionRun(flat, static_cast<uint32_t>(r),
-                   &runs[static_cast<size_t>(r)]);
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(static_cast<int64_t>(flat.size()), flatten);
-    pool->ParallelFor(static_cast<int64_t>(regions), merge);
-  } else {
-    for (size_t j = 0; j < flat.size(); ++j) {
-      flatten(static_cast<int64_t>(j));
-    }
-    merge(0);
+  std::vector<Delta> deltas = StageRuns(
+      staged_edits.size(),
+      [&](size_t j, EditRun* run) {
+        const BatchEdit& edit = edits[staged_edits[j]];
+        run->tree = TreeKey(edit.id);
+        if (edit.add != nullptr) {
+          run->deltas.reserve(edit.add->counts().size());
+          StageBag(*edit.add, 1, run);
+        } else {
+          run->deltas.reserve(edit.minus->counts().size() +
+                              edit.plus->counts().size());
+          StageBag(*edit.minus, -1, run);
+          StageBag(*edit.plus, 1, run);
+        }
+      },
+      pool);
+  if (Status status = table_.AddSorted(deltas); !status.ok()) {
+    return fail_batch(std::move(status));
   }
-  // The whole batch is one WAL transaction, so the hash meta page only
-  // needs to be written once: defer its per-entry updates and flush
-  // before the catalog/cursor writes join the same commit. A failure
-  // lands in RollbackAndReload, whose re-Attach restores the cached
-  // meta fields and ends the deferral window.
-  table_.DeferMetaUpdates();
-  for (const std::vector<StagedDelta>& run : runs) {
-    for (const StagedDelta& d : run) {
-      Status status = table_.AddDelta(d.tree, d.fp, d.delta);
-      if (!status.ok()) return fail_batch(std::move(status));
-    }
-  }
-  if (Status flushed = table_.FlushDeferredMeta(); !flushed.ok()) {
-    return fail_batch(std::move(flushed));
-  }
-
   lap(&split.delta_us);
 
   // Phase 3: catalog + cursor/ticket stamps + one commit (or, in
   // prepare mode, one WAL seal the caller finishes or aborts).
-  for (const auto& [id, size] : staged_sizes) catalog_[id] = size;
+  for (const auto& [id, size] : staged_sizes) SetCatalogSize(id, size);
   Status stored = StoreCatalog();
   if (!stored.ok()) return fail_batch(std::move(stored));
   stored = StoreCursor(txn.cursor);
@@ -655,79 +697,92 @@ Status PersistentForestIndex::ApplyBatch(const std::vector<BatchEdit>& edits,
 }
 
 StatusOr<ForestIndex> PersistentForestIndex::MaterializeForest() {
-  std::map<TreeId, PqGramIndex> bags;
-  for (const auto& [id, size] : catalog_) {
-    bags.emplace(id, PqGramIndex(shape_));
-  }
-  bool orphaned = false;
+  // One leaf-chain walk in key order: each tree's tuples form one
+  // contiguous run, built into its bag in lockstep with the (id-sorted)
+  // catalog.
+  ForestIndex forest(shape_);
+  size_t next = 0;  // catalog cursor
+  Status error;
+  PqGramIndex bag(shape_);
+  auto flush = [&]() {
+    const CatalogEntry& entry = catalog_[next++];
+    if (bag.size() != entry.size) {
+      error = DataLossError("bag size disagrees with the catalog");
+    }
+    forest.AddIndex(entry.id, std::move(bag));
+    bag = PqGramIndex(shape_);
+  };
   PQIDX_RETURN_IF_ERROR(table_.ForEach(
       [&](uint32_t tree, uint64_t fp, int64_t count) {
-        auto it = bags.find(static_cast<TreeId>(tree));
-        if (it == bags.end()) {
-          orphaned = true;
+        if (!error.ok()) return;
+        // Close the runs of earlier trees (and empty bags) first.
+        while (next < catalog_.size() && TreeKey(catalog_[next].id) < tree) {
+          flush();
+        }
+        if (next == catalog_.size() || TreeKey(catalog_[next].id) != tree) {
+          error = DataLossError("tuples outside the catalog; index corrupt");
           return;
         }
-        it->second.Add(fp, count);
+        bag.Add(fp, count);
       }));
-  if (orphaned) {
-    return DataLossError("tuples outside the catalog; index corrupt");
-  }
-  ForestIndex forest(shape_);
-  for (auto& [id, bag] : bags) {
-    if (bag.size() != catalog_[id]) {
-      return DataLossError("bag size disagrees with the catalog");
-    }
-    forest.AddIndex(id, std::move(bag));
-  }
+  while (error.ok() && next < catalog_.size()) flush();
+  PQIDX_RETURN_IF_ERROR(error);
   return forest;
 }
 
 Status PersistentForestIndex::RemoveTree(TreeId id) {
-  if (!catalog_.contains(id)) {
-    return NotFoundError("tree not in the store");
+  const int64_t size = TreeBagSize(id);
+  if (size < 0) return NotFoundError("tree not in the store");
+  // The tree's tuples are one contiguous key range: a range delete.
+  int64_t removed = 0;
+  Status status = table_.RemoveTree(TreeKey(id), &removed);
+  if (status.ok() && removed != size) {
+    status = DataLossError("removed tuples disagree with the catalog");
   }
-  // Collect the tree's keys (full sweep), then delete them.
-  std::vector<std::pair<uint64_t, int64_t>> doomed;
-  PQIDX_RETURN_IF_ERROR(table_.ForEach(
-      [&](uint32_t tree, uint64_t fp, int64_t count) {
-        if (tree == static_cast<uint32_t>(id)) doomed.emplace_back(fp, count);
-      }));
-  for (const auto& [fp, count] : doomed) {
-    Status status =
-        table_.AddDelta(static_cast<uint32_t>(id), fp, -count);
-    if (!status.ok()) return RollbackAndReload(status);
-  }
-  catalog_.erase(id);
-  PQIDX_RETURN_IF_ERROR(StoreCatalog());
+  if (!status.ok()) return RollbackAndReload(status);
+  EraseCatalog(id);
+  status = StoreCatalog();
+  if (!status.ok()) return RollbackAndReload(status);
   return CommitOrCrash();
 }
 
 Status PersistentForestIndex::UpdateTree(TreeId id, const PqGramIndex& plus,
                                          const PqGramIndex& minus) {
-  auto it = catalog_.find(id);
-  if (it == catalog_.end()) return NotFoundError("tree not in the store");
+  const int64_t size = TreeBagSize(id);
+  if (size < 0) return NotFoundError("tree not in the store");
   if (!(plus.shape() == shape_) || !(minus.shape() == shape_)) {
     return InvalidArgumentError("delta shape does not match the store");
   }
-  for (const auto& [fp, count] : minus.counts()) {
-    Status status =
-        table_.AddDelta(static_cast<uint32_t>(id), fp, -count);
-    if (!status.ok()) return RollbackAndReload(status);
+  // The netting below would let plus cover a minus tuple the stored bag
+  // lacks, so check minus ⊆ stored first: one range scan, nothing
+  // dirtied yet.
+  int64_t covered = 0;
+  PQIDX_RETURN_IF_ERROR(table_.ForEachInTree(
+      TreeKey(id), [&](uint64_t fp, int64_t count) {
+        covered += std::min(minus.Count(fp), count);
+      }));
+  if (covered != minus.size()) {
+    return FailedPreconditionError(
+        "minus bag is not a sub-bag of the stored bag");
   }
-  for (const auto& [fp, count] : plus.counts()) {
-    Status status = table_.AddDelta(static_cast<uint32_t>(id), fp, count);
-    if (!status.ok()) return RollbackAndReload(status);
-  }
-  it->second += plus.size() - minus.size();
-  PQIDX_CHECK(it->second >= 0);
-  Status stored = StoreCatalog();
-  if (!stored.ok()) return RollbackAndReload(stored);
+  EditRun run;
+  run.tree = TreeKey(id);
+  StageBag(minus, -1, &run);
+  StageBag(plus, 1, &run);
+  SortAndCoalesce(&run.deltas);
+  Status status = table_.AddSorted(run.deltas);
+  if (!status.ok()) return RollbackAndReload(status);
+  const int64_t next = size + plus.size() - minus.size();
+  PQIDX_CHECK(next >= 0);
+  SetCatalogSize(id, next);
+  status = StoreCatalog();
+  if (!status.ok()) return RollbackAndReload(status);
   return CommitOrCrash();
 }
 
 Status PersistentForestIndex::ApplyLog(TreeId id, const Tree& tn,
                                        const EditLog& log) {
-  if (!catalog_.contains(id)) return NotFoundError("tree not in the store");
+  if (TreeBagSize(id) < 0) return NotFoundError("tree not in the store");
   PqGramIndex plus(shape_);
   PqGramIndex minus(shape_);
   PQIDX_RETURN_IF_ERROR(
@@ -737,16 +792,16 @@ Status PersistentForestIndex::ApplyLog(TreeId id, const Tree& tn,
 
 StatusOr<double> PersistentForestIndex::Distance(TreeId id,
                                                  const PqGramIndex& query) {
-  auto it = catalog_.find(id);
-  if (it == catalog_.end()) return NotFoundError("tree not in the store");
+  const int64_t size = TreeBagSize(id);
+  if (size < 0) return NotFoundError("tree not in the store");
   PQIDX_CHECK(query.shape() == shape_);
+  // One range scan of the tree's tuples, probing the query's bag.
   int64_t intersection = 0;
-  for (const auto& [fp, qcount] : query.counts()) {
-    StatusOr<int64_t> stored = table_.Get(static_cast<uint32_t>(id), fp);
-    PQIDX_RETURN_IF_ERROR(stored.status());
-    intersection += std::min(qcount, *stored);
-  }
-  int64_t union_size = query.size() + it->second;
+  PQIDX_RETURN_IF_ERROR(table_.ForEachInTree(
+      TreeKey(id), [&](uint64_t fp, int64_t count) {
+        intersection += std::min(query.Count(fp), count);
+      }));
+  int64_t union_size = query.size() + size;
   if (union_size == 0) return 0.0;
   return 1.0 - 2.0 * static_cast<double>(intersection) /
                    static_cast<double>(union_size);
@@ -755,10 +810,10 @@ StatusOr<double> PersistentForestIndex::Distance(TreeId id,
 StatusOr<std::vector<LookupResult>> PersistentForestIndex::Lookup(
     const PqGramIndex& query, double tau) {
   std::vector<LookupResult> results;
-  for (const auto& [id, size] : catalog_) {
-    StatusOr<double> distance = Distance(id, query);
+  for (const CatalogEntry& entry : catalog_) {
+    StatusOr<double> distance = Distance(entry.id, query);
     PQIDX_RETURN_IF_ERROR(distance.status());
-    if (*distance <= tau) results.push_back({id, *distance});
+    if (*distance <= tau) results.push_back({entry.id, *distance});
   }
   std::sort(results.begin(), results.end(),
             [](const LookupResult& a, const LookupResult& b) {
@@ -769,12 +824,11 @@ StatusOr<std::vector<LookupResult>> PersistentForestIndex::Lookup(
 }
 
 StatusOr<PqGramIndex> PersistentForestIndex::MaterializeIndex(TreeId id) {
-  if (!catalog_.contains(id)) return NotFoundError("tree not in the store");
+  if (TreeBagSize(id) < 0) return NotFoundError("tree not in the store");
   PqGramIndex index(shape_);
-  PQIDX_RETURN_IF_ERROR(table_.ForEach(
-      [&](uint32_t tree, uint64_t fp, int64_t count) {
-        if (tree == static_cast<uint32_t>(id)) index.Add(fp, count);
-      }));
+  PQIDX_RETURN_IF_ERROR(table_.ForEachInTree(
+      TreeKey(id),
+      [&](uint64_t fp, int64_t count) { index.Add(fp, count); }));
   return index;
 }
 
@@ -782,11 +836,12 @@ Status PersistentForestIndex::CompactInto(const std::string& path) {
   StatusOr<std::unique_ptr<PersistentForestIndex>> fresh =
       Create(path, shape_);
   PQIDX_RETURN_IF_ERROR(fresh.status());
-  // Materialize per tree so each AddIndex commits atomically.
-  for (const auto& [id, size] : catalog_) {
-    StatusOr<PqGramIndex> bag = MaterializeIndex(id);
+  // Materialize per tree so each AddIndex commits atomically; ascending
+  // ids append at the right edge, so the copy's leaves pack to 90%.
+  for (const CatalogEntry& entry : catalog_) {
+    StatusOr<PqGramIndex> bag = MaterializeIndex(entry.id);
     PQIDX_RETURN_IF_ERROR(bag.status());
-    PQIDX_RETURN_IF_ERROR((*fresh)->AddIndex(id, *bag));
+    PQIDX_RETURN_IF_ERROR((*fresh)->AddIndex(entry.id, *bag));
   }
   return Status::Ok();
 }
@@ -797,12 +852,12 @@ void PersistentForestIndex::CheckConsistency() {
   Status status = table_.ForEach(
       [&](uint32_t tree, uint64_t fp, int64_t count) {
         (void)fp;
-        totals[static_cast<TreeId>(tree)] += count;
+        totals[TreeOfKey(tree)] += count;
       });
   PQIDX_CHECK(status.ok());
-  for (const auto& [id, size] : catalog_) {
-    auto it = totals.find(id);
-    PQIDX_CHECK((it == totals.end() ? 0 : it->second) == size);
+  for (const CatalogEntry& entry : catalog_) {
+    auto it = totals.find(entry.id);
+    PQIDX_CHECK((it == totals.end() ? 0 : it->second) == entry.size);
     if (it != totals.end()) totals.erase(it);
   }
   PQIDX_CHECK_MSG(totals.empty(), "orphaned tuples outside the catalog");

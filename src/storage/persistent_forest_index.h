@@ -1,23 +1,25 @@
 // A durable, incrementally maintainable forest index: the paper's
 // "persistent index" made literal.
 //
-// The index relation (treeId, pqg, cnt) lives in an on-disk linear hash
-// table inside one page file; a catalog tracks each tree's bag size |I(T)|
-// and the index shape. Every public mutation is committed atomically
-// through the pager's WAL, so the file survives crashes at any point, and
-// an incremental update (paper Algorithm 1) dirties only the pages that
-// hold the affected tuples -- the on-disk analogue of the paper's "update
-// the index instead of rebuilding it".
+// The index relation (treeId, pqg, cnt) lives in an on-disk B+-tree
+// ordered by (tree, pqg) inside one page file; a catalog tracks each
+// tree's bag size |I(T)| and the index shape. Every public mutation is
+// committed atomically through the pager's WAL, so the file survives
+// crashes at any point. Because the key order clusters each tree's
+// tuples into one contiguous leaf run, an incremental update (paper
+// Algorithm 1, Lemma 2: only the edited tree's tuples change) dirties
+// the one or two leaves holding that run, page 0 (the B+-tree counters)
+// and the one catalog page holding the tree's size -- the on-disk
+// analogue of the paper's "update the index instead of rebuilding it".
 //
-// Lookups evaluate the pq-gram distance by point-probing the query's
-// tuples against each cataloged tree, never scanning the table. For
-// RAM-sized forests the in-memory ForestIndex / InvertedForestIndex are
-// faster; this store is for durability and for bags larger than memory.
+// Lookups evaluate the pq-gram distance by range-scanning each cataloged
+// tree's tuples. For RAM-sized forests the in-memory ForestIndex /
+// InvertedForestIndex are faster; this store is for durability and for
+// bags larger than memory.
 
 #ifndef PQIDX_STORAGE_PERSISTENT_FOREST_INDEX_H_
 #define PQIDX_STORAGE_PERSISTENT_FOREST_INDEX_H_
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <string>
@@ -28,7 +30,7 @@
 #include "core/forest_index.h"
 #include "core/pqgram_index.h"
 #include "edit/edit_log.h"
-#include "storage/linear_hash.h"
+#include "storage/bplus_tree.h"
 #include "storage/pager.h"
 #include "tree/tree.h"
 
@@ -92,11 +94,13 @@ class PersistentForestIndex {
   Status AddTree(TreeId id, const Tree& tree);
 
   // Registers many bags under one commit (one WAL transaction, one fsync
-  // pair): the fast path for initial ingest. All-or-nothing. With `pool`,
-  // the tuple deltas are flattened, hashed, and grouped by staging region
-  // in parallel before the (single-threaded) table apply. A nonzero
-  // `cursor` advances the replication cursor in the same transaction
-  // (followers installing a leader snapshot pass the snapshot's ticket).
+  // pair): the fast path for initial ingest. All-or-nothing. Tuples are
+  // applied in (tree, fp) order, so ids above every stored id bulk-load
+  // leaf by leaf (packed to 90%). With `pool`, each bag's tuples are
+  // flattened and sorted in parallel before the (single-threaded) B+-tree
+  // apply. A nonzero `cursor` advances the replication cursor in the
+  // same transaction (followers installing a leader snapshot pass the
+  // snapshot's ticket).
   Status BulkAdd(
       const std::vector<std::pair<TreeId, const PqGramIndex*>>& bags,
       ThreadPool* pool = nullptr, uint64_t cursor = 0);
@@ -129,9 +133,9 @@ class PersistentForestIndex {
 
   // Wall-clock split of one ApplyBatch run, in microseconds (all zero
   // when Metrics::enabled() is off): catalog validation, δ-phase (tuple
-  // deltas staged into the hash table -- the paper's incremental
-  // update), U-phase (catalog rewrite), and storage apply (the WAL
-  // commit: WAL write + fsync + in-place write + fsync).
+  // deltas staged into the B+-tree -- the paper's incremental update),
+  // U-phase (catalog pages of the changed entries), and storage apply
+  // (the WAL commit: WAL write + fsync + in-place write + fsync).
   struct ApplyBatchTimings {
     int64_t validate_us = 0;
     int64_t delta_us = 0;
@@ -144,25 +148,21 @@ class PersistentForestIndex {
   // are applied in order; catalog-level validation failures (duplicate
   // add, unknown tree, shape mismatch, bag size underflow) are reported
   // per edit in `results` and leave the other edits untouched. An
-  // apply-time failure (I/O, or a minus bag that is not a sub-bag of the
-  // stored bag -- callers are expected to pre-validate that, as
-  // UpdateTree's contract already requires) rolls back the whole batch,
-  // fails every staged edit, and is returned. Nothing is committed when
-  // no edit survives validation. `timings`, when non-null, receives the
+  // apply-time failure (I/O, or a minus bag whose net against plus the
+  // stored bag cannot cover -- callers are expected to pre-validate
+  // minus as a sub-bag, which UpdateTree checks itself) rolls back the
+  // whole batch, fails every staged edit, and is returned. Nothing is
+  // committed when no edit survives validation. `timings`, when non-null, receives the
   // phase split of this run (as far as it got); the same split also
   // lands in the "apply_batch.*" registry histograms on success.
   //
-  // With `pool`, the δ-phase fans out: each staged edit's bags are
-  // flattened into (key, delta) tuples and hashed to a staging region in
-  // parallel, per-region workers merge the tuples into net deltas, and
-  // only the net deltas are applied to the hash table (serially, region
-  // by region -- the pager is not thread-safe). One consequence of
-  // merging: per (tree, fp) key the batch's deltas are summed before the
-  // apply, so an update retracting and re-adding the same tuple never
-  // touches the table at all, and a minus tuple the stored bag lacks is
-  // only detected when its *net* is negative (callers pre-validate
-  // sub-bags, as the contract above already requires). The WAL
-  // transaction and its single fsync pair are unchanged.
+  // The δ-phase sorts the staged tuples by (tree, fp) and sums them per
+  // key before the (serial) B+-tree apply; with `pool`, each staged
+  // edit's run is flattened and sorted in parallel. One consequence of
+  // merging: an update retracting and re-adding the same tuple never
+  // touches the B+-tree at all, and a minus tuple the stored bag lacks
+  // is only detected when its *net* is negative (callers pre-validate
+  // sub-bags, as the contract above requires).
   // A nonzero `cursor` is persisted as the replication cursor inside the
   // batch's WAL transaction (but only when at least one edit commits):
   // leaders stamp each batch with its replication ticket, followers
@@ -185,17 +185,22 @@ class PersistentForestIndex {
   // True between a successful prepare and its finish/abort.
   bool prepared() const { return pager_.prepared(); }
 
-  // Materializes every cataloged bag in one table sweep -- the fast way
-  // to build an in-memory serving replica of the whole store. Fails on
-  // tuples outside the catalog (index corruption).
+  // Materializes every cataloged bag in one leaf-chain walk, each bag
+  // built from its tree's contiguous run -- the fast way to build an
+  // in-memory serving replica of the whole store. Fails on tuples
+  // outside the catalog (index corruption).
   StatusOr<ForestIndex> MaterializeForest();
 
-  // Removes a tree and reclaims its tuples (full table sweep; removal is
-  // the rare operation in this workload).
+  // Removes a tree and its tuples: a range delete over the tree's key
+  // range. Emptied leaves stay linked (deletes never merge nodes);
+  // CompactInto reclaims them.
   Status RemoveTree(TreeId id);
 
   // Incremental maintenance: applies the lambda(Delta+) / lambda(Delta-)
-  // bags of one updateIndex run, atomically.
+  // bags of one updateIndex run, atomically. Fails with
+  // FAILED_PRECONDITION, changing nothing, when `minus` is not a sub-bag
+  // of the stored bag (even if `plus` re-adds the missing tuples), and
+  // with OUT_OF_RANGE when a resulting count exceeds 2^32-1.
   Status UpdateTree(TreeId id, const PqGramIndex& plus,
                     const PqGramIndex& minus);
 
@@ -209,33 +214,25 @@ class PersistentForestIndex {
   StatusOr<std::vector<LookupResult>> Lookup(const PqGramIndex& query,
                                              double tau);
 
-  // Materializes tree `id`'s bag (table sweep; diagnostics and tests).
+  // Materializes tree `id`'s bag (one range scan).
   StatusOr<PqGramIndex> MaterializeIndex(TreeId id);
 
   // Rewrites the live contents into a fresh, minimal file at `path`
-  // (free-listed and overflow pages from past churn are not carried
-  // over). The source store is not modified.
+  // (leaves emptied or half-filled by past churn are not carried over).
+  // The source store is not modified.
   Status CompactInto(const std::string& path);
 
-  // Aborts on structural inconsistency (catalog vs. table); tests.
+  // Aborts on structural inconsistency (catalog vs. B+-tree); tests.
   void CheckConsistency();
 
-  // Hash-table occupancy snapshots (per-shard observability).
+  // B+-tree occupancy snapshots (per-shard observability).
   uint64_t table_entry_count() const { return table_.entry_count(); }
-  uint32_t table_bucket_count() const { return table_.bucket_count(); }
+  uint32_t table_height() const { return table_.height(); }
 
   const Pager& pager() const { return pager_; }
   // Test hook: mutable pager access for fault injection
   // (Pager::InjectWriteFailureAfter).
   Pager* mutable_pager() { return &pager_; }
-
-  // Bench/test hook (process-wide): toggles the bucket-clustered apply
-  // order in the δ-phase. On (the default) the staged net deltas are
-  // sorted by destination hash bucket so the serial table apply
-  // clusters its page touches; off restores plain key order, the
-  // before/after comparison BENCH_WRITE reports.
-  static void SetBucketSortEnabled(bool enabled);
-  static bool bucket_sort_enabled();
 
   // Test hook: run a mutation and crash mid-commit (see Pager).
   Status CrashNextCommit(Pager::CrashPoint point) {
@@ -251,27 +248,45 @@ class PersistentForestIndex {
   Status InitializeNew(const std::string& path, PqShape shape);
   Status OpenExisting(const std::string& path, const OpenOptions& options);
 
-  Status LoadCatalog();
+  // The catalog: (tree, |I(T)|) sorted by id, stored kCatPerPage entries
+  // per page along a page chain. StoreCatalog writes only the pages the
+  // transaction changed: the page of each in-place size change, and
+  // every page from the first insert/erase position on (an ascending new
+  // id touches just the last page).
+  struct CatalogEntry {
+    TreeId id;
+    int64_t size;
+  };
+  Status LoadCatalog(PageId head);
   Status StoreCatalog();
+  Status WriteCatalogPage(size_t k);
+  std::vector<CatalogEntry>::iterator CatalogLowerBound(TreeId id);
+  void SetCatalogSize(TreeId id, int64_t size);
+  void EraseCatalog(TreeId id);
   // Advances the durable replication cursor on the meta page (part of
   // the caller's open transaction). Cursors never move backwards; 0 is
   // a no-op so non-replicating callers skip the page-0 write entirely.
   Status StoreCursor(uint64_t cursor);
   // Same discipline for the store commit ticket.
   Status StoreTicket(uint64_t ticket);
-  // Restores catalog_head_/cursor_/ticket_/table_ caches from the
-  // committed page 0 (after a rollback or abort).
+  // Restores the catalog/cursor_/ticket_/table_ caches from the
+  // committed page 0 (after open, a rollback or an abort).
   Status ReloadCaches();
   Status CommitOrCrash(bool prepare = false);
   Status RollbackAndReload(Status cause);
 
   Pager pager_;
-  LinearHashTable table_{&pager_};
+  BPlusTree table_{&pager_};
   PqShape shape_;
-  PageId catalog_head_ = 0;
   uint64_t cursor_ = 0;  // durable replication cursor (meta page)
   uint64_t ticket_ = 0;  // durable store commit ticket (meta page)
-  std::map<TreeId, int64_t> catalog_;  // tree -> |I(T)|
+  std::vector<CatalogEntry> catalog_;  // ascending id
+  std::vector<PageId> catalog_pages_;  // the chain, head first
+  // Pages that held entries at the last load/store.
+  size_t catalog_pages_used_ = 0;
+  // Uncommitted catalog changes since the last StoreCatalog.
+  std::vector<size_t> catalog_dirty_pages_;
+  size_t catalog_rewrite_from_ = static_cast<size_t>(-1);
   bool crash_armed_ = false;
   Pager::CrashPoint crash_point_ = Pager::CrashPoint::kAfterWalSeal;
 };

@@ -202,9 +202,9 @@ void ShardedStore::InitMetrics() {
     const std::string base = "store.shard" + std::to_string(k);
     m_shard_ticket_.push_back(metrics.gauge(base + ".ticket"));
     m_shard_cursor_.push_back(metrics.gauge(base + ".cursor"));
-    const std::string table = "linear_hash.s" + std::to_string(k);
+    const std::string table = "bplus_tree.s" + std::to_string(k);
     m_shard_entries_.push_back(metrics.gauge(table + ".entries"));
-    m_shard_buckets_.push_back(metrics.gauge(table + ".buckets"));
+    m_shard_height_.push_back(metrics.gauge(table + ".height"));
   }
 }
 
@@ -216,8 +216,7 @@ void ShardedStore::UpdateShardGauges() {
         static_cast<int64_t>(shard.replication_cursor()));
     m_shard_entries_[k]->Set(
         static_cast<int64_t>(shard.table_entry_count()));
-    m_shard_buckets_[k]->Set(
-        static_cast<int64_t>(shard.table_bucket_count()));
+    m_shard_height_[k]->Set(static_cast<int64_t>(shard.table_height()));
   }
 }
 

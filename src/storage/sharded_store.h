@@ -1,7 +1,9 @@
 // A sharded persistent store: the tree-id space partitioned across N
 // independent PersistentForestIndex shards, each with its own pager,
-// WAL, and linear hash table, so batch ingest fans its WAL writes and
-// fsyncs across N files instead of serializing on one.
+// WAL, and (tree, fp)-ordered B+-tree, so batch ingest fans its WAL
+// writes and fsyncs across N files instead of serializing on one. Within
+// a shard a tree's tuples are one contiguous leaf run, so a commit
+// writes the pages of the edited trees, not one page per tuple.
 //
 // On disk a sharded store is a directory:
 //
@@ -12,8 +14,10 @@
 // Routing is modulo over the tree id (shard = id % N), recorded in the
 // manifest so the store refuses to open under a different rule. A
 // single-shard store (`shards = 1`) is NOT a directory: it is exactly
-// the legacy one-file PersistentForestIndex layout, and Open() accepts
-// any pre-shard file unchanged (manifest absent => N = 1).
+// the one-file PersistentForestIndex layout, and Open() accepts any
+// single-file store (manifest absent => N = 1). Shards and single files
+// must be format version 2 (the B+-tree layout); a version-1 file (the
+// former linear-hash layout) fails to open with FAILED_PRECONDITION.
 //
 // Group commit is two-phase with the manifest as the commit point:
 //
@@ -228,7 +232,7 @@ class ShardedStore {
   std::vector<Gauge*> m_shard_ticket_;
   std::vector<Gauge*> m_shard_cursor_;
   std::vector<Gauge*> m_shard_entries_;
-  std::vector<Gauge*> m_shard_buckets_;
+  std::vector<Gauge*> m_shard_height_;
 };
 
 }  // namespace pqidx
