@@ -261,23 +261,11 @@ std::shared_ptr<const LookupEngine> LookupEngine::ApplyDelta(
   const size_t shard_count = prev->shards_.size();
 
   // Route every changed id to the shard whose ascending tree-id range
-  // (would) contain it: the last shard whose first id <= id, else the
-  // first shard. Every shard of a nonempty snapshot holds a tree, ranges
-  // start contiguous (Build) and this routing keeps them disjoint and
-  // ascending, so an id already in the snapshot always routes to the
-  // shard that holds it.
+  // (would) contain it. Ranges start contiguous (Build) and this routing
+  // keeps them disjoint and ascending, so an id already in the snapshot
+  // always routes to the shard that holds it.
   std::vector<std::vector<TreeId>> incoming(shard_count);
-  for (TreeId id : changed) {
-    auto it = std::upper_bound(
-        prev->shards_.begin(), prev->shards_.end(), id,
-        [](TreeId value, const std::shared_ptr<const Shard>& shard) {
-          return value < shard->tree_ids.front();
-        });
-    incoming[it == prev->shards_.begin()
-                 ? 0
-                 : static_cast<size_t>(it - prev->shards_.begin()) - 1]
-        .push_back(id);
-  }
+  for (TreeId id : changed) incoming[prev->OwningShard(id)].push_back(id);
 
   // Each shard's tree count after the delta: a routed id it holds that
   // the forest lacks is a removal, one it lacks that the forest holds an
@@ -478,6 +466,57 @@ LookupEngine::RewriteRun(const LookupEngine& prev, size_t begin, size_t end,
     frozen.push_back(std::move(shard));
   }
   return frozen;
+}
+
+size_t LookupEngine::OwningShard(TreeId id) const {
+  auto it = std::upper_bound(
+      shards_.begin(), shards_.end(), id,
+      [](TreeId value, const std::shared_ptr<const Shard>& shard) {
+        return value < shard->tree_ids.front();
+      });
+  return it == shards_.begin() ? 0
+                               : static_cast<size_t>(it - shards_.begin()) - 1;
+}
+
+std::optional<PqGramIndex> LookupEngine::FindBag(TreeId id) const {
+  if (num_trees_ == 0) return std::nullopt;
+  const Shard& shard = *shards_[OwningShard(id)];
+  auto held = std::lower_bound(shard.tree_ids.begin(), shard.tree_ids.end(),
+                               id);
+  if (held == shard.tree_ids.end() || *held != id) return std::nullopt;
+  const size_t slot = static_cast<size_t>(held - shard.tree_ids.begin());
+  PqGramIndex bag(shape_);
+  // One sequential pass over the arena, stopping once the bag is
+  // complete; only a hit pays for finding its fingerprint group.
+  int64_t missing = shard.tree_sizes[slot];
+  for (uint32_t e = 0; e < shard.entries.size() && missing > 0; ++e) {
+    if (static_cast<size_t>(shard.entries[e].slot) != slot) continue;
+    const size_t g = static_cast<size_t>(
+        std::upper_bound(shard.offsets.begin(), shard.offsets.end(), e) -
+        shard.offsets.begin() - 1);
+    const int64_t count = shard.EntryCount(e);
+    bag.Add(shard.fps[g], count);
+    missing -= count;
+  }
+  return bag;
+}
+
+ForestIndex LookupEngine::ToForest() const {
+  ForestIndex forest(shape_);
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    std::vector<PqGramIndex> bags(shard->tree_ids.size(),
+                                  PqGramIndex(shape_));
+    for (size_t g = 0; g < shard->fps.size(); ++g) {
+      for (uint32_t e = shard->offsets[g]; e < shard->offsets[g + 1]; ++e) {
+        bags[static_cast<size_t>(shard->entries[e].slot)].Add(
+            shard->fps[g], shard->EntryCount(e));
+      }
+    }
+    for (size_t slot = 0; slot < bags.size(); ++slot) {
+      forest.AddIndex(shard->tree_ids[slot], std::move(bags[slot]));
+    }
+  }
+  return forest;
 }
 
 std::vector<int> LookupEngine::ShardSizes() const {

@@ -55,6 +55,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -106,6 +107,11 @@ class LookupEngine {
   // The caller must list every differing id -- an unlisted change would
   // be silently missed in a shared shard.
   //
+  // `forest` is read only through Find(changed id), so it may hold just
+  // the changed bags (pqidxd passes a batch's composed bags) and gives
+  // the same snapshot as the whole forest -- except for a `prev` with no
+  // trees (below), where the changed bags are the whole state anyway.
+  //
   // With n trees afterwards and `target` the shard count `prev` was
   // built for, per = ceil(n / target): a rewritten shard holding more
   // than 2 * per trees is halved by slot range (repeatedly, until every
@@ -119,6 +125,13 @@ class LookupEngine {
 
   const PqShape& shape() const { return shape_; }
   int size() const { return num_trees_; }
+
+  // Tree `id`'s bag rebuilt from the shard owning it, in O(that shard's
+  // postings); nullopt when the snapshot does not hold `id`.
+  std::optional<PqGramIndex> FindBag(TreeId id) const;
+  // The forest the snapshot reflects, rebuilt in O(postings).
+  ForestIndex ToForest() const;
+
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int64_t posting_entries() const { return posting_entries_; }
   // Trees per shard, in shard order.
@@ -246,6 +259,11 @@ class LookupEngine {
       const LookupEngine& prev, size_t begin, size_t end,
       const std::vector<std::vector<TreeId>>& incoming,
       const ForestIndex& forest, int64_t pieces);
+
+  // Index of the shard whose ascending tree-id range holds (or would
+  // hold) `id`: the last shard whose first id <= id, else the first.
+  // Requires a nonempty snapshot (no shard is then empty).
+  size_t OwningShard(TreeId id) const;
 
   static std::vector<QueryTuple> QueryTuples(const PqGramIndex& query);
 

@@ -20,9 +20,6 @@ Subscription::Next Subscription::Wait(int64_t timeout_us,
     if (!queue_.empty()) {
       *out = std::move(queue_.front());
       queue_.pop_front();
-      if (depth_gauge_ != nullptr) {
-        depth_gauge_->Set(static_cast<int64_t>(queue_.size()));
-      }
       return Next::kFrame;
     }
     if (finished_) return Next::kDone;
@@ -40,13 +37,19 @@ ReplicationHub::ReplicationHub(ReplicationHubOptions options)
   PQIDX_CHECK(options_.max_queue >= 1);
   Metrics& metrics = Metrics::Default();
   m_subscribers_ = metrics.gauge("replication.subscribers");
+  m_max_queue_depth_ = metrics.gauge("replication.max_queue_depth");
   m_frames_published_ = metrics.counter("replication.frames_published");
   m_subscribers_dropped_ =
       metrics.counter("replication.subscribers_dropped");
-  for (int i = 0; i < kGaugeSlots; ++i) {
-    m_slot_depth_[i] = metrics.gauge("replication.sub" + std::to_string(i) +
-                                     ".queue_depth");
+}
+
+void ReplicationHub::UpdateMaxQueueDepth() {
+  size_t deepest = 0;
+  for (Subscription* sub : subscribers_) {
+    MutexLock sub_lock(&sub->mutex_);
+    deepest = std::max(deepest, sub->queue_.size());
   }
+  m_max_queue_depth_->Set(static_cast<int64_t>(deepest));
 }
 
 void ReplicationHub::Initialize(uint64_t base_ticket) {
@@ -61,15 +64,6 @@ ReplicationHub::Resume ReplicationHub::Register(Subscription* sub,
                                                 bool force_snapshot,
                                                 uint64_t snapshot_ticket) {
   MutexLock lock(&mutex_);
-  sub->slot_ = -1;
-  for (int i = 0; i < kGaugeSlots; ++i) {
-    if ((slots_used_ & (1u << i)) == 0) {
-      sub->slot_ = i;
-      slots_used_ |= 1u << i;
-      break;
-    }
-  }
-  sub->depth_gauge_ = sub->slot_ >= 0 ? m_slot_depth_[sub->slot_] : nullptr;
   const uint64_t last = last_ticket_.load(std::memory_order_relaxed);
   bool delta =
       !force_snapshot && from_ticket >= history_base_ && from_ticket <= last;
@@ -90,30 +84,24 @@ ReplicationHub::Resume ReplicationHub::Register(Subscription* sub,
       for (const ReplicatedFrame& frame : history_) {
         if (frame.ticket > from_ticket) sub->queue_.push_back(frame);
       }
-      if (sub->depth_gauge_ != nullptr) {
-        sub->depth_gauge_->Set(static_cast<int64_t>(sub->queue_.size()));
-      }
     }
   }
   subscribers_.push_back(sub);
   m_subscribers_->Set(static_cast<int64_t>(subscribers_.size()));
+  UpdateMaxQueueDepth();
   return delta ? Resume::kDelta : Resume::kSnapshot;
 }
 
 void ReplicationHub::Unregister(Subscription* sub) {
   MutexLock lock(&mutex_);
   std::erase(subscribers_, sub);
-  if (sub->slot_ >= 0) {
-    slots_used_ &= ~(1u << sub->slot_);
-    m_slot_depth_[sub->slot_]->Set(0);
-    sub->slot_ = -1;
-  }
   {
     MutexLock sub_lock(&sub->mutex_);
     sub->finished_ = true;
     sub->cv_.NotifyAll();
   }
   m_subscribers_->Set(static_cast<int64_t>(subscribers_.size()));
+  UpdateMaxQueueDepth();
 }
 
 void ReplicationHub::Publish(uint64_t ticket,
@@ -147,17 +135,14 @@ void ReplicationHub::Publish(uint64_t ticket,
       sub->queue_.clear();
       sub->finished_ = true;
       sub->dropped_.store(true, std::memory_order_relaxed);
-      if (sub->depth_gauge_ != nullptr) sub->depth_gauge_->Set(0);
       m_subscribers_dropped_->Increment();
       sub->cv_.NotifyAll();
       continue;
     }
     sub->queue_.push_back(frame);
-    if (sub->depth_gauge_ != nullptr) {
-      sub->depth_gauge_->Set(static_cast<int64_t>(sub->queue_.size()));
-    }
     sub->cv_.NotifyAll();
   }
+  UpdateMaxQueueDepth();
 }
 
 void ReplicationHub::Shutdown() {

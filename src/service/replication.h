@@ -103,9 +103,6 @@ class Subscription {
   uint64_t skip_to_ PQIDX_GUARDED_BY(mutex_) = 0;
   bool finished_ PQIDX_GUARDED_BY(mutex_) = false;
   std::atomic<bool> dropped_{false};
-  // Queue-depth gauge slot, hub-managed (-1: none free at Register).
-  int slot_ = -1;
-  Gauge* depth_gauge_ = nullptr;
 };
 
 struct ReplicationHubOptions {
@@ -122,9 +119,6 @@ struct ReplicationHubOptions {
 // subscriber.
 class ReplicationHub {
  public:
-  // Queue-depth gauge slots ("replication.sub<k>.queue_depth").
-  static constexpr int kGaugeSlots = 16;
-
   explicit ReplicationHub(ReplicationHubOptions options);
 
   // Anchors the history window at the store's durable cursor; called by
@@ -163,10 +157,15 @@ class ReplicationHub {
  private:
   const ReplicationHubOptions options_;
 
+  // Sets replication.max_queue_depth to the deepest live subscriber
+  // queue. Sampled at every Register, Unregister and Publish, so a
+  // subscriber draining its queue shows at the next of those.
+  void UpdateMaxQueueDepth() PQIDX_REQUIRES(mutex_);
+
   Gauge* m_subscribers_;
+  Gauge* m_max_queue_depth_;
   Counter* m_frames_published_;
   Counter* m_subscribers_dropped_;
-  Gauge* m_slot_depth_[kGaugeSlots];
 
   mutable Mutex mutex_;
   std::vector<Subscription*> subscribers_ PQIDX_GUARDED_BY(mutex_);
@@ -174,7 +173,6 @@ class ReplicationHub {
   // A cursor >= history_base_ (and <= last_ticket_) can delta-resume:
   // every frame past it is still retained.
   uint64_t history_base_ PQIDX_GUARDED_BY(mutex_) = 0;
-  uint32_t slots_used_ PQIDX_GUARDED_BY(mutex_) = 0;
   bool shutdown_ PQIDX_GUARDED_BY(mutex_) = false;
   std::atomic<uint64_t> last_ticket_{0};
 };

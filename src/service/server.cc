@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -55,7 +56,6 @@ Server::Server(ShardedStore* index, ServerOptions options)
   PQIDX_CHECK(options_.max_connections >= 1);
   PQIDX_CHECK(options_.max_write_queue >= 0);
   PQIDX_CHECK(options_.max_group_commit >= 1);
-  PQIDX_CHECK(options_.lookup_threads >= 0);
   PQIDX_CHECK(options_.lookup_shards >= 0);
   PQIDX_CHECK(options_.commit_pipeline_depth >= 1);
   PQIDX_CHECK(options_.staging_threads >= 0);
@@ -101,8 +101,9 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
     // report must not take the process down.
     return FailedPreconditionError("server already started");
   }
-  StatusOr<ForestIndex> replica = index_->MaterializeForest();
-  PQIDX_RETURN_IF_ERROR(replica.status());
+  // Freed on return: from then on the snapshot is the only copy.
+  StatusOr<ForestIndex> forest = index_->MaterializeForest();
+  PQIDX_RETURN_IF_ERROR(forest.status());
   cursor_base_ = index_->replication_cursor();
   // A store populated outside replication (bulk ingest) still sits at
   // cursor 0 -- the ticket that also means "follower with nothing".
@@ -110,18 +111,8 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
   // with a resumable ticket; otherwise every reconnecting follower
   // would re-snapshot forever. Deterministic across leader restarts
   // (the first commit durably advances the cursor past 1).
-  if (cursor_base_ == 0 && replica->size() > 0) cursor_base_ = 1;
-  {
-    // No handler threads exist yet; the lock satisfies the analysis and
-    // costs one uncontended acquire.
-    WriterLock lock(&index_mutex_);
-    replica_ = *std::move(replica);
-    shape_ = replica_.shape();
-    replica_ticket_ = cursor_base_;
-  }
-  if (options_.lookup_threads > 0) {
-    lookup_pool_ = std::make_unique<ThreadPool>(options_.lookup_threads);
-  }
+  if (cursor_base_ == 0 && forest->size() > 0) cursor_base_ = 1;
+  shape_ = forest->shape();
   if (options_.staging_threads > 0) {
     staging_pool_ = std::make_unique<ThreadPool>(options_.staging_threads);
   }
@@ -132,7 +123,8 @@ Status Server::Start(std::unique_ptr<Listener> listener) {
     hub_ = std::make_unique<ReplicationHub>(hub_options);
     hub_->Initialize(cursor_base_);
   }
-  PublishEngine({});  // epoch 1: the initial snapshot of the store
+  // Epoch 1: the initial snapshot of the store, before pipeline ticket 0.
+  PublishEngine(*forest, /*next_ticket=*/0, cursor_base_);
   if (listener != nullptr) {
     listener_ = std::move(listener);
     pool_ = std::make_unique<ThreadPool>(options_.max_connections);
@@ -146,26 +138,21 @@ std::shared_ptr<const LookupEngine> Server::EngineSnapshot() const {
   return engine_;
 }
 
-void Server::PublishEngine(const std::vector<TreeId>& changed) {
+void Server::PublishEngine(const ForestIndex& changed, uint64_t next_ticket,
+                           uint64_t cursor) {
   const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<const LookupEngine> prev = EngineSnapshot();
   const bool full = prev == nullptr;
-  const ForestIndex& replica = replica_for_publish();
   std::shared_ptr<const LookupEngine> next;
   if (full) {
-    int shards = options_.lookup_shards;
-    if (shards == 0) {
-      // A one-shard snapshot would make every publish rewrite the whole
-      // forest (the lone shard owns every tree), so the default keeps
-      // enough shards for copy-on-write sharing even without lookup
-      // threads. Build() clamps to the tree count for tiny forests but
-      // remembers this target, so a store that starts small or empty
-      // grows toward it.
-      shards = std::max(16, options_.lookup_threads * 2);
-    }
-    next = LookupEngine::Build(replica, shards);
+    // Build() clamps to the tree count for tiny forests but remembers
+    // the target, so a store that starts small or empty grows toward it.
+    constexpr int kDefaultLookupShards = 16;
+    next = LookupEngine::Build(changed, options_.lookup_shards > 0
+                                            ? options_.lookup_shards
+                                            : kDefaultLookupShards);
   } else {
-    next = LookupEngine::ApplyDelta(prev, replica, changed);
+    next = LookupEngine::ApplyDelta(prev, changed, changed.TreeIds());
   }
   const int64_t us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - start)
@@ -173,6 +160,8 @@ void Server::PublishEngine(const std::vector<TreeId>& changed) {
   {
     MutexLock lock(&engine_mutex_);
     engine_ = next;
+    engine_next_ticket_ = next_ticket;
+    engine_cursor_ = cursor;
   }
   // Reconcile the result cache with the new epoch's shard set: entries
   // for shards the publish rewrote are dead by uid and reclaimed here;
@@ -208,14 +197,11 @@ void Server::Stop() {
 
 ServiceStats Server::stats() const {
   ServiceStats stats;
-  // shape_ is immutable after Start(); reading replica_.shape() here
-  // without the lock used to race the storage turns mutating replica_.
+  // shape_ is immutable after Start().
   stats.p = shape_.p;
   stats.q = shape_.q;
-  {
-    ReaderLock lock(&index_mutex_);
-    stats.tree_count = replica_.size();
-  }
+  const std::shared_ptr<const LookupEngine> engine = EngineSnapshot();
+  stats.tree_count = engine != nullptr ? engine->size() : 0;
   stats.lookups = lookups_.load();
   stats.edits_applied = edits_applied_.load();
   stats.edit_commits = edit_commits_.load();
@@ -352,9 +338,19 @@ std::string Server::HandleRequest(MessageType type,
     case MessageType::kPing:
       return StatusPayload(Status::Ok());
     case MessageType::kLookup:
-      return HandleLookup(payload);
+      return HandleQuery<LookupRequest>(
+          payload, [this](const LookupEngine& engine, const LookupRequest& r,
+                          LookupEngineStats* stats) {
+            return engine.Lookup(r.query, r.tau, /*pool=*/nullptr, stats,
+                                 query_cache_.get());
+          });
     case MessageType::kTopK:
-      return HandleTopK(payload);
+      return HandleQuery<TopKRequest>(
+          payload, [this](const LookupEngine& engine, const TopKRequest& r,
+                          LookupEngineStats* stats) {
+            return engine.TopK(r.query, r.k, /*pool=*/nullptr, stats,
+                               query_cache_.get());
+          });
     case MessageType::kAddTree:
       return HandleAddTree(payload);
     case MessageType::kApplyEdits:
@@ -378,15 +374,17 @@ std::string Server::HandleRequest(MessageType type,
   return std::string();
 }
 
-std::string Server::HandleLookup(std::string_view payload) {
-  StatusOr<LookupRequest> request = LookupRequest::Decode(payload);
+template <typename Request, typename Score>
+std::string Server::HandleQuery(std::string_view payload,
+                                const Score& score) {
+  StatusOr<Request> request = Request::Decode(payload);
   if (!request.ok()) {
     protocol_errors_.fetch_add(1);
     m_protocol_errors_->Increment();
     return StatusPayload(request.status());
   }
-  // LookupEngine::Lookup CHECK-fails on a shape mismatch; a remote
-  // caller must never be able to trip that, so validate here.
+  // LookupEngine CHECK-fails on a shape mismatch; a remote caller must
+  // never be able to trip that, so validate here.
   std::shared_ptr<const LookupEngine> engine = EngineSnapshot();
   if (!(request->query.shape() == engine->shape())) {
     return StatusPayload(InvalidArgumentError("query shape mismatch"));
@@ -395,35 +393,7 @@ std::string Server::HandleLookup(std::string_view payload) {
   // concurrent commits publish new snapshots without ever blocking this.
   LookupEngineStats engine_stats;
   LookupResponse response;
-  response.results =
-      engine->Lookup(request->query, request->tau, lookup_pool_.get(),
-                     &engine_stats, query_cache_.get());
-  lookups_.fetch_add(1);
-  m_lookups_->Increment();
-  candidates_pruned_.fetch_add(engine_stats.pruned);
-  candidates_scored_.fetch_add(engine_stats.scored);
-  ByteWriter writer;
-  EncodeStatus(Status::Ok(), &writer);
-  response.Encode(&writer);
-  return writer.Release();
-}
-
-std::string Server::HandleTopK(std::string_view payload) {
-  StatusOr<TopKRequest> request = TopKRequest::Decode(payload);
-  if (!request.ok()) {
-    protocol_errors_.fetch_add(1);
-    m_protocol_errors_->Increment();
-    return StatusPayload(request.status());
-  }
-  std::shared_ptr<const LookupEngine> engine = EngineSnapshot();
-  if (!(request->query.shape() == engine->shape())) {
-    return StatusPayload(InvalidArgumentError("query shape mismatch"));
-  }
-  LookupEngineStats engine_stats;
-  LookupResponse response;
-  response.results =
-      engine->TopK(request->query, request->k, lookup_pool_.get(),
-                   &engine_stats, query_cache_.get());
+  response.results = score(*engine, *request, &engine_stats);
   lookups_.fetch_add(1);
   m_lookups_->Increment();
   candidates_pruned_.fetch_add(engine_stats.pruned);
@@ -571,13 +541,18 @@ Status Server::SubmitEdit(PendingEdit* edit) {
 
 void Server::ValidateGroup(const std::vector<PendingEdit*>& batch,
                            const std::vector<size_t>& group,
+                           const LookupEngine& engine, uint64_t engine_next,
                            std::vector<uint8_t>* edit_ok,
                            std::unique_ptr<PqGramIndex>* composed) const {
   const TreeId id = batch[group.front()]->id;
   auto pending = overlay_.find(id);
-  const PqGramIndex* current = pending != overlay_.end()
-                                   ? &pending->second.bag
-                                   : replica_.Find(id);
+  std::optional<PqGramIndex> published;
+  const PqGramIndex* current = nullptr;
+  if (pending != overlay_.end() && pending->second.ticket >= engine_next) {
+    current = &pending->second.bag;
+  } else if ((published = engine.FindBag(id)).has_value()) {
+    current = &*published;
+  }
   for (size_t i : group) {
     PendingEdit& edit = *batch[i];
     const PqGramIndex* cur =
@@ -620,12 +595,24 @@ void Server::ValidateGroup(const std::vector<PendingEdit*>& batch,
 
 void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
                            uint64_t ticket, StagedBatch* staged) {
-  // Validation runs with the index exclusively locked: it reads replica_
-  // and overlay_, and installs this batch's pending bags into overlay_.
+  // Loaded in the validate turn, so it is at least as new as the one the
+  // predecessor validated against and retired overlay entries by.
+  uint64_t engine_next;
+  std::shared_ptr<const LookupEngine> engine;
+  {
+    MutexLock lock(&engine_mutex_);
+    engine = engine_;
+    engine_next = engine_next_ticket_;
+  }
+  staged->scratch = ForestIndex(shape_);
+
   // The staging workers only *read* shared state (each works on its own
   // tree group and its own PendingEdit objects), so fanning out under
-  // the exclusive lock is safe.
-  WriterLock lock(&index_mutex_);
+  // the lock is safe.
+  MutexLock lock(&index_mutex_);
+  std::erase_if(overlay_, [&](const auto& entry) {
+    return entry.second.ticket < engine_next;
+  });
 
   // Group the batch by tree id (batch order preserved within a group):
   // distinct trees are independent by contract, so their validation +
@@ -651,8 +638,8 @@ void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
   // for the whole fan-out and the workers touch disjoint slots, which
   // is ValidateGroup's documented PQIDX_REQUIRES contract.
   auto validate_group = [&](int64_t g) PQIDX_NO_THREAD_SAFETY_ANALYSIS {
-    ValidateGroup(batch, groups[static_cast<size_t>(g)], &edit_ok,
-                  &group_bags[static_cast<size_t>(g)]);
+    ValidateGroup(batch, groups[static_cast<size_t>(g)], *engine, engine_next,
+                  &edit_ok, &group_bags[static_cast<size_t>(g)]);
   };
   if (staging_pool_ != nullptr && groups.size() > 1) {
     staging_pool_->ParallelFor(static_cast<int64_t>(groups.size()),
@@ -664,8 +651,8 @@ void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
   }
 
   // Assemble the store edits in batch order and stage the composed bags:
-  // `scratch` owns the copy this batch will apply to replica_ in its
-  // storage turn; overlay_ gets its own copy tagged with our ticket so
+  // `scratch` owns the copy this batch's storage turn publishes into the
+  // next snapshot; overlay_ gets its own copy tagged with our ticket so
   // successor batches validate against the pending state. (Two copies on
   // purpose: a successor may overwrite the overlay entry with a further
   // composed bag before our storage turn runs.)
@@ -687,7 +674,7 @@ void Server::ValidateBatch(const std::vector<PendingEdit*>& batch,
     if (group_bags[g] == nullptr) continue;
     const TreeId id = batch[groups[g].front()]->id;
     overlay_.insert_or_assign(id, PendingBag{*group_bags[g], ticket});
-    staged->scratch.insert_or_assign(id, std::move(*group_bags[g]));
+    staged->scratch.AddIndex(id, std::move(*group_bags[g]));
   }
   staged->failure_stamp = failure_stamp_;
 }
@@ -724,11 +711,11 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
     chunks = EncodeDeltaFrameChunks(cursor, Metrics::NowUs(), views);
   }
 
-  // Phase S (ticket-ordered): the WAL transaction, the replica delta,
-  // and the snapshot publish. Storage commits run strictly in ticket
-  // order, so the on-disk WAL sees the same atomic, ordered transactions
-  // as the serial leader and the crash matrix's before/after-batch
-  // guarantee carries over unchanged.
+  // Phase S (ticket-ordered): the WAL transaction and the snapshot
+  // publish. Storage commits run strictly in ticket order, so the
+  // on-disk WAL sees the same atomic, ordered transactions as the serial
+  // leader and the crash matrix's before/after-batch guarantee carries
+  // over unchanged.
   storage_turnstile_.Await(ticket);
   int64_t applied = 0;
   if (!staged.edits.empty()) {
@@ -737,7 +724,7 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
     // abort before touching the store.
     bool aborted;
     {
-      ReaderLock lock(&index_mutex_);
+      MutexLock lock(&index_mutex_);
       aborted = failure_stamp_ != staged.failure_stamp;
     }
     Status committed;
@@ -753,37 +740,17 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
     for (size_t j = 0; j < staged.edits.size(); ++j) {
       PendingEdit& edit = *batch[staged.edit_to_batch[j]];
       edit.result = results[j];
-      // The replica validation mirrors the catalog validation inside
+      // The server's validation mirrors the catalog validation inside
       // ApplyBatch, so a staged edit can only fail with the whole batch.
       PQIDX_DCHECK(results[j].ok() == committed.ok());
       if (results[j].ok()) ++applied;
     }
     if (committed.ok() && applied > 0) {
-      std::vector<TreeId> changed;
-      changed.reserve(staged.scratch.size());
-      {
-        WriterLock lock(&index_mutex_);
-        for (auto& [id, bag] : staged.scratch) {
-          changed.push_back(id);
-          replica_.AddIndex(id, std::move(bag));
-          // Retire our overlay entries; a successor batch may already
-          // have replaced one with its own further-composed bag, in
-          // which case it stays (tagged with the successor's ticket).
-          auto it = overlay_.find(id);
-          if (it != overlay_.end() && it->second.ticket == ticket) {
-            overlay_.erase(it);
-          }
-        }
-        // Advance before Publish (below) so a subscriber registering
-        // under a ReaderLock either sees this cursor in replica_ or
-        // gets this frame from the hub -- never neither.
-        replica_ticket_ = cursor;
-      }
-      // Publish the batch to readers: swap in the next snapshot epoch.
-      // This runs OUTSIDE index_mutex_ (it only reads replica_, and
-      // storage turns are the sole replica_ mutators, strictly ordered)
-      // but INSIDE the storage turn so epochs advance in ticket order.
-      PublishEngine(changed);
+      // Publish the batch to readers INSIDE the storage turn, so epochs
+      // advance in ticket order, and BEFORE the hub Publish below, so a
+      // registering subscriber either sees this cursor in the snapshot
+      // or gets this frame from the hub -- never neither.
+      PublishEngine(staged.scratch, ticket + 1, cursor);
       // Fan out to followers, also inside the storage turn so the hub
       // sees strictly increasing tickets. Publish never blocks on a
       // subscriber (bounded queues + drop policy), so this adds only
@@ -791,11 +758,15 @@ void Server::CommitBatch(const std::vector<PendingEdit*>& batch,
       if (hub_ != nullptr) hub_->Publish(cursor, std::move(chunks));
     } else {
       // The store rolled the whole batch back. Successors may have
-      // validated against our (now vacuous) overlay bags: clear the
-      // overlay and bump the failure stamp so they abort at their
-      // storage turn instead of applying edits premised on ours.
-      WriterLock lock(&index_mutex_);
-      overlay_.clear();
+      // validated against our (now vacuous) overlay bags: drop ours and
+      // theirs and bump the failure stamp so they abort at their storage
+      // turn instead of applying edits premised on ours. Predecessors'
+      // entries stay: a validation whose snapshot predates their
+      // publish still needs them.
+      MutexLock lock(&index_mutex_);
+      std::erase_if(overlay_, [&](const auto& entry) {
+        return entry.second.ticket >= ticket;
+      });
       ++failure_stamp_;
       applied = 0;
     }
@@ -859,42 +830,42 @@ void Server::ServeSubscriber(const std::shared_ptr<Connection>& conn,
   SubscribeAck ack;
   ack.p = static_cast<uint8_t>(shape_.p);
   ack.q = static_cast<uint8_t>(shape_.q);
-  std::vector<std::string> snapshot_chunks;
+  std::shared_ptr<const LookupEngine> image;
   {
-    // Register-then-capture under one reader scope: the storage turn
-    // advances replica_ + replica_ticket_ under the writer lock BEFORE
-    // its hub Publish, so a frame is either reflected in the image
-    // encoded here or enqueued on the fresh subscription -- never lost,
-    // and duplicates are filtered by the subscription's skip_to_.
-    ReaderLock lock(&index_mutex_);
+    // Register-then-capture under one engine_mutex_ scope: the storage
+    // turn swaps in the snapshot with its cursor BEFORE its hub Publish,
+    // so a frame is either reflected in the image captured here or
+    // enqueued on the fresh subscription -- never lost, and duplicates
+    // are filtered by the subscription's skip_to_.
+    MutexLock lock(&engine_mutex_);
     // Cursor 0 means "nothing replicated yet". That only delta-resumes
     // against a leader that was empty at its own cursor 0; a store
     // populated before replication existed (cursor_base_ 0 with trees)
     // must ship a snapshot or the follower would silently miss them.
     const bool force_snapshot =
         request->force_snapshot ||
-        (request->from_ticket == 0 && replica_.size() > 0);
+        (request->from_ticket == 0 && engine_->size() > 0);
     const ReplicationHub::Resume resume = hub_->Register(
-        &sub, request->from_ticket, force_snapshot, replica_ticket_);
+        &sub, request->from_ticket, force_snapshot, engine_cursor_);
     if (resume == ReplicationHub::Resume::kSnapshot) {
       ack.mode = SubscribeAck::Mode::kSnapshot;
-      ack.ticket = replica_ticket_;
-      const std::vector<TreeId> ids = replica_.TreeIds();
-      std::vector<DeltaEntryView> views;
-      views.reserve(ids.size());
-      for (TreeId id : ids) {
-        DeltaEntryView view;
-        view.tree_id = id;
-        view.is_add = true;
-        view.plus = replica_.Find(id);
-        views.push_back(view);
-      }
-      snapshot_chunks =
-          EncodeDeltaFrameChunks(ack.ticket, Metrics::NowUs(), views);
+      ack.ticket = engine_cursor_;
+      image = engine_;
     } else {
       ack.mode = SubscribeAck::Mode::kDelta;
       ack.ticket = request->from_ticket;
     }
+  }
+  // The image is encoded from the immutable snapshot with no lock held.
+  std::vector<std::string> snapshot_chunks;
+  if (image != nullptr) {
+    const ForestIndex forest = image->ToForest();
+    std::vector<DeltaEntryView> views;
+    for (TreeId id : forest.TreeIds()) {
+      views.push_back({id, /*is_add=*/true, forest.Find(id), nullptr});
+    }
+    snapshot_chunks =
+        EncodeDeltaFrameChunks(ack.ticket, Metrics::NowUs(), views);
   }
   auto send_chunks = [&](const std::vector<std::string>& chunks) {
     for (const std::string& chunk : chunks) {

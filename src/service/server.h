@@ -13,10 +13,10 @@
 //   * lookups run lock-free against an epoch-published LookupEngine
 //     snapshot (core/lookup_engine.h): readers grab the current
 //     shared_ptr<const LookupEngine> and score without touching
-//     index_mutex_, so read throughput scales with reader threads. The
-//     group-commit leader compiles a fresh snapshot from the mutable
-//     ForestIndex replica after each batch and atomically swaps it in
-//     (the replica itself is only read by the write path's validation);
+//     index_mutex_, so read throughput scales with reader threads. It is
+//     the server's only in-memory copy of the forest: validation and
+//     subscriber images read bags rebuilt from it, and the leader
+//     derives each next epoch from it and the batch's composed bags;
 //   * writes go through group commit: a writer enqueues its edit and the
 //     first free writer becomes a batch leader, drains the queue, and
 //     applies the whole batch as ONE WAL transaction
@@ -28,7 +28,7 @@
 //   * group commits pipeline (`commit_pipeline_depth`): up to that many
 //     batch leaders run at once, each batch holding a ticket drawn in
 //     queue order. Validation + δ-materialization run in ticket order
-//     against the replica plus an overlay of the predecessors' pending
+//     against the snapshot plus an overlay of the predecessors' pending
 //     bags, overlapping the predecessor's WAL write/fsync; the storage
 //     commits themselves also run in ticket order, so the WAL sees the
 //     same strictly ordered, atomic transactions as the serial leader
@@ -86,10 +86,6 @@ struct ServerOptions {
   // before draining the queue, magnifying the batching window the same
   // way a slow fsync would. 0 in production.
   int commit_hold_us = 0;
-  // Dedicated threads for shard-parallel scoring of one lookup; 0 scores
-  // in the handler thread (throughput then comes purely from concurrent
-  // connections, which is usually the right trade for small queries).
-  int lookup_threads = 0;
   // Slow-op threshold in microseconds: requests and group commits at or
   // over it log their phase breakdown through SlowOpLog::Default()
   // (common/metrics.h). 0 inherits that log's threshold (the
@@ -98,10 +94,8 @@ struct ServerOptions {
   int64_t slow_op_us = 0;
   // Shards the lookup snapshot is compiled into at Start, and the count
   // later incremental publishes keep shard sizes balanced against; 0
-  // derives a default: at least 16 (so incremental publication has
-  // shards to share; a single-shard snapshot would rewrite everything on
-  // every commit), or 2x lookup_threads when that is larger. Results
-  // never depend on the shard count.
+  // means 16 (a single-shard snapshot would rewrite everything on every
+  // commit). Results never depend on the shard count.
   //
   // Trade-off: snapshot publication sits on the write-ack path (outside
   // index_mutex_, so concurrent lookups and stats() never wait on it):
@@ -154,7 +148,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Builds the serving replica and starts accepting on `listener`. A
+  // Compiles the first snapshot and starts accepting on `listener`. A
   // null listener starts the server without a network endpoint (it is
   // then driven in-process: lookups via a follower's streamed state,
   // writes via ApplyReplicated). Starting a started server returns
@@ -165,12 +159,12 @@ class Server {
   // handlers. Idempotent; also run by the destructor.
   void Stop() PQIDX_EXCLUDES(connections_mutex_);
 
-  ServiceStats stats() const PQIDX_EXCLUDES(index_mutex_);
+  ServiceStats stats() const PQIDX_EXCLUDES(engine_mutex_);
 
   // Applies a run of streamed delta frames (ascending tickets) as ONE
   // group-commit batch: one WAL transaction stamped with the newest
-  // ticket, one replica delta, one snapshot epoch, one hub publish per
-  // frame's worth of state (coalesced under the newest ticket). Frames
+  // ticket, one snapshot epoch, one hub publish per frame's worth of
+  // state (coalesced under the newest ticket). Frames
   // at or below the store's durable cursor are skipped (duplicates
   // after a reconnect). Only valid on a read-only server; any edit the
   // leader committed but this store rejects means divergence and
@@ -209,8 +203,10 @@ class Server {
 
   // Decodes and serves one request; returns the response payload.
   std::string HandleRequest(MessageType type, std::string_view payload);
-  std::string HandleLookup(std::string_view payload);
-  std::string HandleTopK(std::string_view payload);
+  // Serves kLookup / kTopK: decodes a `Request` and answers it with
+  // `score(engine, request, stats)` on the current snapshot.
+  template <typename Request, typename Score>
+  std::string HandleQuery(std::string_view payload, const Score& score);
   std::string HandleAddTree(std::string_view payload);
   std::string HandleApplyEdits(std::string_view payload);
   std::string HandleStats();
@@ -223,7 +219,7 @@ class Server {
   // handler loop ends when this returns.
   void ServeSubscriber(const std::shared_ptr<Connection>& conn,
                        const FrameHeader& header, std::string_view payload)
-      PQIDX_EXCLUDES(index_mutex_);
+      PQIDX_EXCLUDES(engine_mutex_);
 
   // Group commit: blocks until `edit` is durable (or rejected) and
   // returns its result. The calling thread may serve as batch leader.
@@ -235,7 +231,7 @@ class Server {
   // storage turn means a predecessor batch this validation may have
   // depended on failed, so the batch must abort).
   struct StagedBatch {
-    std::map<TreeId, PqGramIndex> scratch;
+    ForestIndex scratch;
     std::vector<PersistentForestIndex::BatchEdit> edits;
     std::vector<size_t> edit_to_batch;
     uint64_t failure_stamp = 0;
@@ -244,31 +240,33 @@ class Server {
   // Runs one batch through the pipeline: awaits the validate turn for
   // `ticket`, validates + materializes (ValidateBatch), then awaits the
   // storage turn, commits the WAL transaction (durably stamped with
-  // `cursor`, the replication cursor), applies the replica delta,
-  // publishes the next snapshot epoch, and hands the batch's delta
-  // frame to the hub.
+  // `cursor`, the replication cursor), publishes the next snapshot
+  // epoch, and hands the batch's delta frame to the hub.
   void CommitBatch(const std::vector<PendingEdit*>& batch, uint64_t ticket,
                    uint64_t cursor)
       PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
 
-  // Validation + δ-materialization under index_mutex_ held exclusively:
-  // checks each edit against the replica overlaid with the predecessors'
-  // pending bags (and a local overlay so edits earlier in the batch are
-  // visible to later ones), composes the next bag per touched tree, and
-  // installs those bags into overlay_ tagged with `ticket` for successor
-  // batches. Independent trees fan out across staging_pool_.
+  // Validation + δ-materialization: loads the snapshot, then under
+  // index_mutex_ retires the overlay entries it reflects, checks each
+  // edit against the snapshot overlaid with the predecessors' pending
+  // bags (and a local overlay so edits earlier in the batch are visible
+  // to later ones), composes the next bag per touched tree, and
+  // installs those into overlay_ tagged with `ticket`. Independent
+  // trees fan out across staging_pool_.
   void ValidateBatch(const std::vector<PendingEdit*>& batch,
                      uint64_t ticket, StagedBatch* staged)
-      PQIDX_EXCLUDES(index_mutex_);
+      PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
 
   // Validates + composes the next bag for one same-tree group of a
-  // batch. Requires the leader's exclusive index_mutex_: it reads
-  // replica_ and overlay_ and writes only its own group's slots in
-  // `edit_ok` / `composed` (which is how fanning the groups across
-  // staging workers while the *leader* holds the lock stays sound --
-  // see the no-tsa escape at the call site in ValidateBatch).
+  // batch, starting from the tree's overlay entry if it is newer than
+  // `engine` (ticket >= `engine_next`), else from `engine`'s bag.
+  // Requires the leader's index_mutex_: it reads overlay_ and writes
+  // only its own group's slots in `edit_ok` / `composed` (which is how
+  // fanning the groups across staging workers while the *leader* holds
+  // the lock stays sound -- see the no-tsa escape in ValidateBatch).
   void ValidateGroup(const std::vector<PendingEdit*>& batch,
                      const std::vector<size_t>& group,
+                     const LookupEngine& engine, uint64_t engine_next,
                      std::vector<uint8_t>* edit_ok,
                      std::unique_ptr<PqGramIndex>* composed) const
       PQIDX_REQUIRES(index_mutex_);
@@ -276,26 +274,12 @@ class Server {
   // The current lookup snapshot (never null after Start()).
   std::shared_ptr<const LookupEngine> EngineSnapshot() const
       PQIDX_EXCLUDES(engine_mutex_);
-  // Publishes the next snapshot epoch: compiled from scratch when there
-  // is no previous one (Start), else derived from it by ApplyDelta for
-  // the trees in `changed` (an empty list republishes it). Takes no
-  // lock on replica_ (see replica_for_publish): the caller must be the
-  // sole thread mutating it for the duration (true in Start(), before
-  // handlers exist, and for the storage-turn holder until it finishes
-  // its turn).
-  void PublishEngine(const std::vector<TreeId>& changed)
-      PQIDX_EXCLUDES(index_mutex_, engine_mutex_);
-
-  // no-tsa: replica_ is guarded by index_mutex_, but PublishEngine
-  // compiles snapshots from it with no lock held -- its caller is the
-  // storage-turn holder (or Start before handlers exist), the only
-  // thread that may mutate replica_, and taking even the shared lock
-  // for the O(postings) build would block successor batches' validation
-  // and defeat the commit pipeline.
-  const ForestIndex& replica_for_publish() const
-      PQIDX_NO_THREAD_SAFETY_ANALYSIS {
-    return replica_;
-  }
+  // Publishes the next snapshot epoch (reflecting the committed batches
+  // below `next_ticket`, i.e. replication cursor `cursor`): Build from
+  // `changed` at Start, which passes the whole forest, else ApplyDelta
+  // of the changed bags. Callers are serialized by the storage turn.
+  void PublishEngine(const ForestIndex& changed, uint64_t next_ticket,
+                     uint64_t cursor) PQIDX_EXCLUDES(engine_mutex_);
 
   ShardedStore* const index_;
   const ServerOptions options_;
@@ -305,15 +289,11 @@ class Server {
   // request handlers read it lock-free.
   PqShape shape_;
 
-  // Write-path state: replica_ is the mutable bag-level view batch
-  // leaders validate against and mutate together with the store;
-  // overlay_ holds the pending (validated, not yet committed) next bags
-  // of in-flight batches, keyed by tree and tagged with the staging
-  // batch's ticket. Both live under index_mutex_; replica_ mutation is
-  // additionally serialized by the storage turnstile. Lookups do NOT
-  // read either.
-  mutable SharedMutex index_mutex_;
-  ForestIndex replica_ PQIDX_GUARDED_BY(index_mutex_);
+  // Write-path state: overlay_ holds the pending (validated, not yet
+  // published) next bags of in-flight batches, keyed by tree and tagged
+  // with the staging batch's ticket. Entries below engine_next_ticket_
+  // are reflected in the snapshot and retired by the next validation.
+  mutable Mutex index_mutex_;
   struct PendingBag {
     PqGramIndex bag;
     uint64_t ticket;
@@ -322,22 +302,19 @@ class Server {
   // Bumped whenever a batch fails after validation; successors compare
   // their validation-time snapshot of it before touching the store.
   uint64_t failure_stamp_ PQIDX_GUARDED_BY(index_mutex_) = 0;
-  // The replication cursor replica_ reflects: the storage-turn holder
-  // advances it together with the replica delta, so a subscriber that
-  // registers and snapshots replica_ under one ReaderLock gets an image
-  // consistent with this ticket (service/replication.h).
-  uint64_t replica_ticket_ PQIDX_GUARDED_BY(index_mutex_) = 0;
 
-  // Read-path state: the immutable snapshot lookups score against.
-  // engine_mutex_ only guards the pointer swap/copy (nanoseconds);
-  // scoring itself runs on a private shared_ptr copy with no lock held.
+  // The immutable snapshot and what it reflects: the committed batches
+  // below engine_next_ticket_, i.e. replication cursor engine_cursor_.
+  // engine_mutex_ guards only these copies; scoring, bag rebuilds and
+  // image encoding run on a private shared_ptr with no lock held.
   mutable Mutex engine_mutex_;
   std::shared_ptr<const LookupEngine> engine_ PQIDX_GUARDED_BY(engine_mutex_);
+  uint64_t engine_next_ticket_ PQIDX_GUARDED_BY(engine_mutex_) = 0;
+  uint64_t engine_cursor_ PQIDX_GUARDED_BY(engine_mutex_) = 0;
   // Epoch-keyed result cache for kLookup / kTopK (null when disabled).
   // Internally synchronized; PublishEngine reconciles it against the
   // new snapshot's shard uids after every swap.
   std::unique_ptr<QueryCache> query_cache_;
-  std::unique_ptr<ThreadPool> lookup_pool_;
   // Write-path staging workers (ServerOptions::staging_threads).
   std::unique_ptr<ThreadPool> staging_pool_;
 

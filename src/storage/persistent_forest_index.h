@@ -186,9 +186,10 @@ class PersistentForestIndex {
   bool prepared() const { return pager_.prepared(); }
 
   // Materializes every cataloged bag in one leaf-chain walk, each bag
-  // built from its tree's contiguous run -- the fast way to build an
-  // in-memory serving replica of the whole store. Fails on tuples
-  // outside the catalog (index corruption).
+  // built from its tree's contiguous run -- the fast way to load the
+  // whole store, e.g. to compile pqidxd's first lookup snapshot at
+  // Server::Start. Fails on tuples outside the catalog (index
+  // corruption).
   StatusOr<ForestIndex> MaterializeForest();
 
   // Removes a tree and its tuples: a range delete over the tree's key

@@ -126,7 +126,8 @@ class ShardedStore {
                     ApplyBatchTimings* timings = nullptr,
                     ThreadPool* pool = nullptr, uint64_t cursor = 0);
 
-  // Merged materialization of every shard (serving replica bootstrap).
+  // Merged materialization of every shard (the forest Server::Start
+  // compiles its first lookup snapshot from).
   StatusOr<ForestIndex> MaterializeForest();
 
   // Reads one tree's bag back from its owning shard.

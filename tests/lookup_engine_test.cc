@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -65,6 +66,32 @@ class ScopedSimdKernel {
 constexpr SimdKernel kAllKernels[] = {SimdKernel::kScalar, SimdKernel::kSse41,
                                       SimdKernel::kAvx2, SimdKernel::kNeon};
 
+// Every bag the snapshot rebuilds equals the forest's: FindBag for each
+// tree (empty bags and wide counts included) and ToForest as a whole.
+// Ids the snapshot does not hold -- between its trees, below the first
+// shard's range, above the last's, at the TreeId extremes -- rebuild to
+// nothing.
+void ExpectBagsRebuild(const LookupEngine& engine, const ForestIndex& forest,
+                       const char* what) {
+  const std::vector<TreeId> ids = forest.TreeIds();
+  for (TreeId id : ids) {
+    const std::optional<PqGramIndex> bag = engine.FindBag(id);
+    ASSERT_TRUE(bag.has_value()) << what << " tree " << id;
+    EXPECT_TRUE(*bag == *forest.Find(id)) << what << " tree " << id;
+  }
+  EXPECT_TRUE(engine.ToForest() == forest) << what;
+  std::vector<TreeId> absent = {std::numeric_limits<TreeId>::min(),
+                                std::numeric_limits<TreeId>::max()};
+  if (!ids.empty()) {
+    for (TreeId id = ids.front() - 3; id <= ids.back() + 3; ++id) {
+      if (forest.Find(id) == nullptr) absent.push_back(id);
+    }
+  }
+  for (TreeId id : absent) {
+    EXPECT_FALSE(engine.FindBag(id).has_value()) << what << " id " << id;
+  }
+}
+
 // A snapshot derived by ApplyDelta must be structurally sound and answer
 // Lookup and TopK bit-identically to a from-scratch Build of the same
 // forest (and to the scan), sequentially and through `pool`, under every
@@ -78,6 +105,7 @@ void ExpectMatchesFreshBuild(const LookupEngine& engine,
   ASSERT_EQ(engine.size(), forest.size()) << what;
   auto fresh = LookupEngine::Build(forest, 4);
   ASSERT_EQ(engine.posting_entries(), fresh->posting_entries()) << what;
+  ExpectBagsRebuild(engine, forest, what);
   ScopedSimdKernel restore;
   for (SimdKernel kernel : kAllKernels) {
     if (!SetSimdKernelForTesting(kernel)) continue;
@@ -163,6 +191,8 @@ TEST(LookupEngineTest, EmptyEngineAndEmptyBags) {
 
   // The empty query must find exactly the two empty-bag trees at tau 0.
   auto engine = LookupEngine::Build(forest, 2);
+  ExpectBagsRebuild(*engine, forest, "empty bags");
+  ExpectBagsRebuild(*empty_engine, ForestIndex(shape), "empty engine");
   std::vector<LookupResult> hits = engine->Lookup(empty_query, 0.0);
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].tree_id, 7);
@@ -374,8 +404,12 @@ TEST(LookupEngineTest, PruningStatsAccounting) {
 // removals, re-inserts, a whole shard emptied) while ApplyDelta chains
 // snapshot to snapshot. Trees with counts above INT32_MAX move into and
 // out of patched shards, and one stays put while its shard is patched
-// around it. Every epoch must be structurally sound and answer exactly
-// like a from-scratch Build AND the scan.
+// around it; an empty bag stays put too. Every epoch must be
+// structurally sound, rebuild every bag, and answer exactly like a
+// from-scratch Build AND the scan. A second chain is fed only the
+// changed bags (the relaxed ApplyDelta contract pqidxd relies on) and
+// must produce the same snapshot: same shard sizes and postings, and
+// the same bags, which together fix every arena.
 TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
   Rng rng(83);
   auto dict = std::make_shared<LabelDict>();
@@ -396,6 +430,7 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
   // Never edited itself; its shard is patched around it.
   const TreeId kStayingWide = 155;
   forest.AddIndex(kStayingWide, wide_bag);
+  forest.AddIndex(175, PqGramIndex(shape));
 
   std::vector<PqGramIndex> queries;
   queries.push_back(BuildIndex(docs.begin()->second, shape));
@@ -405,6 +440,8 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
 
   ThreadPool pool(3);
   auto engine = LookupEngine::Build(forest, 4);
+  ExpectBagsRebuild(*engine, forest, "built");
+  std::shared_ptr<const LookupEngine> from_changed = engine;
   TreeId next_high = 300;
   TreeId next_low = 99;
   TreeId moving_wide = -1;  // a wide tree inserted, edited, removed
@@ -459,6 +496,7 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
       const std::vector<TreeId> ids = forest.TreeIds();
       for (int i = 0; i < first; ++i) {
         ASSERT_NE(ids[static_cast<size_t>(i)], kStayingWide);
+        ASSERT_NE(ids[static_cast<size_t>(i)], 175);
         ASSERT_TRUE(forest.RemoveTree(ids[static_cast<size_t>(i)]));
         changed.push_back(ids[static_cast<size_t>(i)]);
         docs.erase(ids[static_cast<size_t>(i)]);
@@ -468,6 +506,25 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
     engine = LookupEngine::ApplyDelta(engine, forest, changed);
     queries.front() = BuildIndex(docs.begin()->second, shape);
     ExpectMatchesFreshBuild(*engine, forest, queries, &pool, "incremental");
+
+    ForestIndex changed_bags(shape);
+    for (TreeId id : changed) {
+      if (const PqGramIndex* bag = forest.Find(id)) {
+        changed_bags.AddIndex(id, *bag);
+      }
+    }
+    from_changed =
+        LookupEngine::ApplyDelta(from_changed, changed_bags, changed);
+    ASSERT_TRUE(from_changed->CheckInvariants().ok());
+    EXPECT_EQ(from_changed->ShardSizes(), engine->ShardSizes());
+    EXPECT_EQ(from_changed->posting_entries(), engine->posting_entries());
+    ExpectBagsRebuild(*from_changed, forest, "from changed bags");
+    for (const PqGramIndex& query : queries) {
+      ExpectSameResults(from_changed->Lookup(query, 0.5),
+                        engine->Lookup(query, 0.5), "from changed bags");
+      ExpectSameResults(from_changed->TopK(query, 5), engine->TopK(query, 5),
+                        "from changed bags topk");
+    }
   }
 }
 

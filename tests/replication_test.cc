@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/forest_index.h"
 #include "core/incremental.h"
@@ -234,16 +235,20 @@ TEST(ReplicationHubTest, SlowSubscriberIsDropped) {
   ReplicationHub hub(options);
   hub.Initialize(0);
 
+  const Gauge* max_depth =
+      Metrics::Default().gauge("replication.max_queue_depth");
   Subscription slow;
   ASSERT_EQ(hub.Register(&slow, 0, false, 0),
             ReplicationHub::Resume::kDelta);
   hub.Publish(1, {std::string("a")});
   hub.Publish(2, {std::string("b")});
   EXPECT_FALSE(slow.dropped());
+  EXPECT_EQ(max_depth->value(), 2);
   // The queue is at max_queue and nothing consumed: the next publish
   // disconnects the subscriber instead of blocking or growing.
   hub.Publish(3, {std::string("c")});
   EXPECT_TRUE(slow.dropped());
+  EXPECT_EQ(max_depth->value(), 0);
   ReplicatedFrame frame;
   EXPECT_EQ(slow.Wait(1000, &frame), Subscription::Next::kDone);
   hub.Unregister(&slow);
@@ -516,6 +521,139 @@ TEST(ReplicationFollowerTest, SnapshotFallbackWhenHistoryCompacted) {
   }
   second.follower->Stop();
   leader.server->Stop();
+}
+
+// A tuple count in (INT32_MAX, UINT32_MAX] rides the snapshot's
+// wide-count path end to end: the server validates edits against the
+// bag it rebuilds from the snapshot, a follower bootstraps from an image
+// encoded from the snapshot, and the store re-materializes the count
+// after a reopen. Every answer matches the ForestIndex oracle.
+TEST(ReplicationFollowerTest, WideCountTreeMatchesOracleEverywhere) {
+  const PqShape shape{2, 3};
+  const int64_t kWide = int64_t{3} << 30;  // > INT32_MAX, < UINT32_MAX
+  const std::string leader_store = "repl_leader_wide.db";
+  LeaderService leader(leader_store, shape);
+  std::unique_ptr<Client> writer = leader.MustConnect();
+  Rng rng(46);
+  auto dict = std::make_shared<LabelDict>();
+  ForestIndex library(shape);
+  for (TreeId id = 0; id < 8; ++id) {
+    Tree tree = GenerateDblpLike(dict, &rng, 40);
+    ASSERT_TRUE(writer->AddTree(id, tree).ok());
+    library.AddTree(id, tree);
+  }
+  constexpr TreeId kWideId = 100;
+  PqGramIndex wide = BuildIndex(GenerateDblpLike(dict, &rng, 40), shape);
+  const PqGramFingerprint fp = wide.counts().begin()->first;
+  wide.Add(fp, kWide);
+  ASSERT_TRUE(writer->AddIndex(kWideId, wide).ok());
+  library.AddIndex(kWideId, wide);
+
+  // A minus taking part of the wide count is a sub-bag: accepted, and
+  // the count stays wide.
+  PqGramIndex minus(shape);
+  minus.Add(fp, 1000);
+  PqGramIndex plus(shape);
+  plus.Add(fp + 1, 3);
+  ASSERT_TRUE(writer->ApplyDeltas(kWideId, plus, minus).ok());
+  wide.Remove(fp, 1000);
+  wide.Add(fp + 1, 3);
+  library.AddIndex(kWideId, wide);
+  ASSERT_GT(wide.Count(fp), INT32_MAX);
+
+  // One more than the stored count is not: rejected, nothing changes.
+  PqGramIndex too_much(shape);
+  too_much.Add(fp, wide.Count(fp) + 1);
+  Status rejected =
+      writer->ApplyDeltas(kWideId, PqGramIndex(shape), too_much);
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+      << rejected.ToString();
+
+  PqGramIndex wide_query = BuildIndex(GenerateDblpLike(dict, &rng, 40),
+                                      shape);
+  wide_query.Add(fp, kWide + 12345);
+  const std::vector<PqGramIndex> queries = {wide_query, wide,
+                                            *library.Find(3)};
+  auto expect_oracle = [&](Client* client, const char* where) {
+    for (const PqGramIndex& query : queries) {
+      for (double tau : {0.0, 0.5, 1.0}) {
+        StatusOr<std::vector<LookupResult>> got = client->Lookup(query, tau);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+        const std::vector<LookupResult> want = library.Lookup(query, tau);
+        ASSERT_EQ(got->size(), want.size()) << where << " tau " << tau;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ((*got)[i].tree_id, want[i].tree_id) << where;
+          EXPECT_EQ((*got)[i].distance, want[i].distance) << where;
+        }
+      }
+    }
+  };
+  expect_oracle(writer.get(), "leader");
+
+  // A follower subscribing at cursor 0 is bootstrapped by snapshot.
+  const std::string follower_store = "repl_follower_wide.db";
+  RemoveStore(follower_store);
+  FollowerHarness standby(leader.connect_point, follower_store);
+  ASSERT_TRUE(standby.follower->Start().ok());
+  EXPECT_EQ(standby.follower->snapshot_resyncs(), 1);
+  MustConverge(leader.server.get(), standby.follower.get());
+  std::unique_ptr<Client> reader = standby.MustConnect();
+  expect_oracle(reader.get(), "follower");
+  reader.reset();
+  standby.follower->Stop();
+  writer.reset();
+  leader.server->Stop();
+  leader.server.reset();
+  leader.index.reset();
+
+  // Both stores re-materialize the oracle forest after a reopen.
+  for (const std::string& name : {leader_store, follower_store}) {
+    StatusOr<StorePtr> reopened = ShardedStore::Open(TempPath(name));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    StatusOr<ForestIndex> forest = (*reopened)->MaterializeForest();
+    ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+    EXPECT_TRUE(*forest == library) << name;
+  }
+}
+
+// The replication gauges are a fixed set: subscribing and unsubscribing
+// many times, and restarting the server, registers no new metric names.
+TEST(ReplicationHubTest, MetricNamesStayFixedAcrossSubscribersAndRestart) {
+  const PqShape shape{2, 3};
+  const std::string leader_store = "repl_leader_names.db";
+  const std::string follower_store = "repl_follower_names.db";
+  RemoveStore(follower_store);
+  auto leader = std::make_unique<LeaderService>(leader_store, shape);
+  std::unique_ptr<Client> writer = leader->MustConnect();
+  Rng rng(47);
+  ASSERT_TRUE(writer->AddTree(1, GenerateDblpLike(nullptr, &rng, 30)).ok());
+  auto subscribe_once = [&](TreeId id) {
+    FollowerHarness standby(leader->connect_point, follower_store);
+    ASSERT_TRUE(standby.follower->Start().ok());
+    ASSERT_TRUE(writer->AddTree(id, GenerateDblpLike(nullptr, &rng, 30)).ok());
+    MustConverge(leader->server.get(), standby.follower.get());
+    standby.follower->Stop();
+  };
+  subscribe_once(2);
+  const size_t names_after_first =
+      Metrics::Default().Snapshot().samples.size();
+  for (TreeId id = 3; id < 23; ++id) subscribe_once(id);
+
+  // Restart the leader over the same store.
+  writer.reset();
+  leader->server->Stop();
+  leader->server = std::make_unique<Server>(leader->index.get(),
+                                            ServerOptions());
+  auto listener = std::make_unique<PipeListener>();
+  leader->connect_point = listener.get();
+  ASSERT_TRUE(leader->server->Start(std::move(listener)).ok());
+  writer = leader->MustConnect();
+  subscribe_once(23);
+  EXPECT_EQ(Metrics::Default().Snapshot().samples.size(), names_after_first);
+  EXPECT_NE(Metrics::Default().Snapshot().Find("replication.max_queue_depth"),
+            nullptr);
+  writer.reset();
+  leader->server->Stop();
 }
 
 // --- stress (TSan target) ----------------------------------------------

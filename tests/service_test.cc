@@ -460,46 +460,6 @@ TEST(ServiceTest, LookupMatchesInMemoryLibrary) {
   service.server->Stop();
 }
 
-TEST(ServiceTest, ParallelLookupScoringMatchesInMemoryLibrary) {
-  // Same equivalence check, but the server scores each lookup across
-  // snapshot shards on a dedicated pool (lookup_threads > 0).
-  const PqShape shape{2, 3};
-  ServerOptions options;
-  options.lookup_threads = 3;
-  TestService service("svc_lookup_par.db", shape, options);
-  std::unique_ptr<Client> client = service.MustConnect();
-
-  Rng rng(23);
-  auto dict = std::make_shared<LabelDict>();
-  ForestIndex library(shape);
-  std::vector<Tree> trees;
-  for (TreeId id = 0; id < 12; ++id) {
-    trees.push_back(GenerateDblpLike(dict, &rng, 60));
-    ASSERT_TRUE(client->AddTree(id, trees.back()).ok());
-    library.AddTree(id, trees.back());
-  }
-
-  for (double tau : {0.0, 0.4, 0.9, 1.0}) {
-    for (TreeId id = 0; id < 4; ++id) {
-      StatusOr<std::vector<LookupResult>> remote =
-          client->Lookup(trees[static_cast<size_t>(id)], tau);
-      ASSERT_TRUE(remote.ok());
-      std::vector<LookupResult> local =
-          library.Lookup(trees[static_cast<size_t>(id)], tau);
-      ASSERT_EQ(remote->size(), local.size()) << "tau " << tau;
-      for (size_t i = 0; i < local.size(); ++i) {
-        EXPECT_EQ((*remote)[i].tree_id, local[i].tree_id);
-        EXPECT_DOUBLE_EQ((*remote)[i].distance, local[i].distance);
-      }
-    }
-  }
-  StatusOr<ServiceStats> stats = client->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->snapshot_epoch, 1);
-  EXPECT_GT(stats->candidates_scored, 0);
-  service.server->Stop();
-}
-
 TEST(ServiceTest, TopKRoundTripMatchesInMemoryLibrary) {
   const PqShape shape{2, 3};
   TestService service("svc_topk.db", shape);

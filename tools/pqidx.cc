@@ -42,7 +42,7 @@
 //       (default 0.5). Use the same index file twice for a self-join.
 //
 //   pqidx serve <index-file> [-p P] [-q Q] [--port N] [-t THREADS]
-//               [--lookup-threads N] [--stats-interval SECS]
+//               [--stats-interval SECS]
 //               [--commit-pipeline-depth D] [--staging-threads N]
 //               [--replication-history N] [--replication-max-queue N]
 //               [--follow HOST:PORT] [--query-cache-mb N]
@@ -150,7 +150,7 @@ int Usage() {
                "  pqidx stats  <doc.xml | host:port>\n"
                "  pqidx join   <left-index> <right-index> [tau]\n"
                "  pqidx serve  <index-file> [-p P] [-q Q] [--port N] "
-               "[-t THREADS] [--lookup-threads N] [--stats-interval SECS]\n"
+               "[-t THREADS] [--stats-interval SECS]\n"
                "               [--commit-pipeline-depth D] "
                "[--staging-threads N]\n"
                "               [--replication-history N] "
@@ -498,8 +498,7 @@ int CmdJoin(std::vector<std::string> args) {
 // read-only Server; this wrapper only parses flags, binds the serving
 // port, and waits for a signal.
 int CmdServeFollower(const std::string& index_path, const std::string& leader,
-                     int port, int threads, int lookup_threads,
-                     int store_shards) {
+                     int port, int threads, int store_shards) {
   size_t colon = leader.rfind(':');
   std::string host = colon != std::string::npos ? leader.substr(0, colon)
                                                 : std::string();
@@ -536,7 +535,6 @@ int CmdServeFollower(const std::string& index_path, const std::string& leader,
         std::move(listener).value());
   };
   options.server.max_connections = threads;
-  options.server.lookup_threads = lookup_threads;
 
   Follower follower(std::move(options));
   if (Status s = follower.Start(); !s.ok()) return Fail(s);
@@ -565,7 +563,6 @@ int CmdServe(std::vector<std::string> args) {
   PqShape shape = ParseShapeFlags(&args);
   int port = 0;
   int threads = 4;
-  int lookup_threads = 0;
   int stats_interval = 0;
   int pipeline_depth = 1;
   int staging_threads = 0;
@@ -582,8 +579,6 @@ int CmdServe(std::vector<std::string> args) {
       port = std::atoi(args[++i].c_str());
     } else if (args[i] == "-t" && i + 1 < args.size()) {
       threads = std::atoi(args[++i].c_str());
-    } else if (args[i] == "--lookup-threads" && i + 1 < args.size()) {
-      lookup_threads = std::atoi(args[++i].c_str());
     } else if (args[i] == "--stats-interval" && i + 1 < args.size()) {
       stats_interval = std::atoi(args[++i].c_str());
     } else if (args[i] == "--commit-pipeline-depth" && i + 1 < args.size()) {
@@ -608,7 +603,7 @@ int CmdServe(std::vector<std::string> args) {
     }
   }
   if (rest.size() != 1 || port < 0 || port > 65535 || threads < 1 ||
-      lookup_threads < 0 || stats_interval < 0 || pipeline_depth < 1 ||
+      stats_interval < 0 || pipeline_depth < 1 ||
       staging_threads < 0 ||
       replication_history < 1 || replication_max_queue < 1 ||
       query_cache_mb < 0 || store_shards < 1 || store_shards > 1024) {
@@ -617,8 +612,7 @@ int CmdServe(std::vector<std::string> args) {
   const std::string& index_path = rest[0];
 
   if (!follow.empty()) {
-    return CmdServeFollower(index_path, follow, port, threads,
-                            lookup_threads, store_shards);
+    return CmdServeFollower(index_path, follow, port, threads, store_shards);
   }
 
   // Open the index, creating a fresh one if nothing exists at the path
@@ -653,7 +647,6 @@ int CmdServe(std::vector<std::string> args) {
 
   ServerOptions options;
   options.max_connections = threads;
-  options.lookup_threads = lookup_threads;
   options.commit_pipeline_depth = pipeline_depth;
   options.staging_threads = staging_threads;
   options.replication_history = replication_history;
