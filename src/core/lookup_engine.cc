@@ -645,24 +645,13 @@ std::vector<LookupEngine::QueryTuple> LookupEngine::QueryTuples(
   return tuples;
 }
 
-void LookupEngine::ScoreShard(const Shard& shard,
-                              const std::vector<QueryTuple>& tuples,
-                              int64_t query_size, double tau,
-                              std::vector<LookupResult>* out,
-                              LookupEngineStats* stats) const {
-  const size_t n = shard.tree_ids.size();
-  static_assert(sizeof(Entry) == 2 * sizeof(int32_t),
-                "kernels read the arena as interleaved int32 pairs");
-  struct List {
-    uint32_t begin;
-    uint32_t length;
-    int64_t qcount;
-    PqGramFingerprint fp;
-  };
+std::vector<LookupEngine::PostingList> LookupEngine::RarestFirstLists(
+    const Shard& shard, const std::vector<QueryTuple>& tuples,
+    std::vector<int64_t>* rest) {
   // Query tuples arrive fingerprint-ascending and shard.fps is sorted,
   // so each tuple's list is found by galloping forward from the
   // previous position instead of bisecting the whole array.
-  std::vector<List> lists;
+  std::vector<PostingList> lists;
   lists.reserve(tuples.size());
   size_t pos = 0;
   for (const QueryTuple& t : tuples) {
@@ -675,21 +664,72 @@ void LookupEngine::ScoreShard(const Shard& shard,
   }
   // Rarest posting list first: the large lists then run with the small
   // remaining-gain bound, which is where the count filter prunes.
-  std::sort(lists.begin(), lists.end(), [](const List& a, const List& b) {
-    return a.length < b.length || (a.length == b.length && a.fp < b.fp);
-  });
-  // rest[j] = maximum further overlap attainable after list j-1: each
-  // remaining tuple contributes at most its query multiplicity.
-  std::vector<int64_t> rest(lists.size() + 1, 0);
+  std::sort(lists.begin(), lists.end(),
+            [](const PostingList& a, const PostingList& b) {
+              return a.length < b.length ||
+                     (a.length == b.length && a.fp < b.fp);
+            });
+  // Each remaining tuple contributes at most its query multiplicity.
+  rest->assign(lists.size() + 1, 0);
   for (size_t j = lists.size(); j-- > 0;) {
-    rest[j] = rest[j + 1] + lists[j].qcount;
+    (*rest)[j] = (*rest)[j + 1] + lists[j].qcount;
   }
+  return lists;
+}
+
+void LookupEngine::ScoreShard(const Shard& shard,
+                              const std::vector<QueryTuple>& tuples,
+                              int64_t query_size, double tau,
+                              std::vector<LookupResult>* out,
+                              LookupEngineStats* stats) const {
+  const size_t n = shard.tree_ids.size();
+  static_assert(sizeof(Entry) == 2 * sizeof(int32_t),
+                "kernels read the arena as interleaved int32 pairs");
+  std::vector<int64_t> rest;
+  const std::vector<PostingList> lists = RarestFirstLists(shard, tuples, &rest);
 
   const bool filter = tau < 1.0;
+  // The prefix cut: a tree no list has reached yet can gain at most
+  // rest[j] from list j on, and needs at least `floor` -- the overlap
+  // the shard's smallest tree needs, since the bar only rises with the
+  // tree's size. From the first list where rest[j] < floor on, no new
+  // candidate can qualify.
+  size_t cut = lists.size();
+  if (filter && n > 0) {
+    const int64_t floor = MinQualifyingOverlap(
+        tau, query_size + *std::min_element(shard.tree_sizes.begin(),
+                                            shard.tree_sizes.end()));
+    cut = 0;
+    while (cut < lists.size() && rest[cut] >= floor) ++cut;
+  }
+
   std::vector<int64_t> overlap(n, 0);
   std::vector<int64_t> required(filter ? n : 0, 0);
   std::vector<uint8_t> pruned(n, 0);
   std::vector<int32_t> touched;
+  // Live candidates are touched slots not pruned; this call prunes
+  // stats->pruned - pruned_before of them. An admitted slot's overlap is
+  // positive, so a zero overlap marks a slot never admitted.
+  const int64_t pruned_before = stats->pruned;
+  // Drops `slot` once even its maximum attainable overlap misses the
+  // bar; reports whether it is still live.
+  auto survives = [&](int32_t slot, int64_t gain_after) {
+    if (filter && overlap[static_cast<size_t>(slot)] + gain_after <
+                      required[static_cast<size_t>(slot)]) {
+      pruned[static_cast<size_t>(slot)] = 1;
+      ++stats->pruned;
+      return false;
+    }
+    return true;
+  };
+
+  // Past the cut only the live candidates matter. Scanning a list costs
+  // its length; probing costs one gallop per live slot, so probing pays
+  // only once the live set is small against the list. Lists only grow
+  // and the live set only shrinks, so once probing starts it stays.
+  constexpr int64_t kProbeRatio = 8;
+  std::vector<int32_t> probes;  // live slots, ascending, once probing
+  bool probing = false;
 
   // The SIMD kernel deinterleaves each block and clamps every count
   // against the query multiplicity up front; the scalar pass below only
@@ -701,8 +741,40 @@ void LookupEngine::ScoreShard(const Shard& shard,
   int32_t contrib_buf[kBlock];
 
   for (size_t j = 0; j < lists.size(); ++j) {
-    const List& list = lists[j];
+    const PostingList& list = lists[j];
     const int64_t gain_after = rest[j + 1];
+    const bool admit = j < cut;
+    if (!admit) {
+      const int64_t live = static_cast<int64_t>(touched.size()) -
+                           (stats->pruned - pruned_before);
+      if (live == 0) break;
+      if (!probing && live * kProbeRatio <= list.length) {
+        probing = true;
+        for (int32_t slot : touched) {
+          if (!pruned[static_cast<size_t>(slot)]) probes.push_back(slot);
+        }
+        std::sort(probes.begin(), probes.end());
+      }
+    }
+    if (probing) {
+      // Entries within a list ascend by slot, so the probes gallop
+      // forward from the previous hit.
+      stats->postings_scanned += static_cast<int64_t>(probes.size());
+      const Entry* entries = shard.entries.data() + list.begin;
+      size_t pos = 0;
+      size_t kept = 0;
+      for (int32_t slot : probes) {
+        pos = GallopLowerBound(entries, list.length, pos, slot,
+                               [](const Entry& entry) { return entry.slot; });
+        if (pos < list.length && entries[pos].slot == slot) {
+          overlap[static_cast<size_t>(slot)] += std::min<int64_t>(
+              list.qcount, shard.EntryCount(list.begin + pos));
+        }
+        if (survives(slot, gain_after)) probes[kept++] = slot;
+      }
+      probes.resize(kept);
+      continue;
+    }
     stats->postings_scanned += list.length;
     const int32_t qc32 = static_cast<int32_t>(
         std::min<int64_t>(list.qcount, INT32_MAX));
@@ -717,6 +789,9 @@ void LookupEngine::ScoreShard(const Shard& shard,
         if (pruned[static_cast<size_t>(slot)]) continue;
         int64_t& acc = overlap[static_cast<size_t>(slot)];
         if (acc == 0) {
+          // Before the cut an untouched slot becomes a candidate; after
+          // it, it is skipped.
+          if (!admit) continue;
           touched.push_back(slot);
           if (filter) {
             required[static_cast<size_t>(slot)] = MinQualifyingOverlap(
@@ -730,11 +805,7 @@ void LookupEngine::ScoreShard(const Shard& shard,
               list.qcount, shard.EntryCount(list.begin + base + i));
         }
         acc += contrib;
-        if (filter &&
-            acc + gain_after < required[static_cast<size_t>(slot)]) {
-          pruned[static_cast<size_t>(slot)] = 1;
-          ++stats->pruned;
-        }
+        survives(slot, gain_after);
       }
     }
   }
@@ -776,9 +847,10 @@ void LookupEngine::ScoreShard(const Shard& shard,
   }
 }
 
-std::vector<LookupResult> LookupEngine::Lookup(
-    const PqGramIndex& query, double tau, ThreadPool* pool,
-    LookupEngineStats* stats, QueryCache* cache) const {
+std::vector<LookupResult> LookupEngine::Lookup(const PqGramIndex& query,
+                                               double tau,
+                                               LookupEngineStats* stats,
+                                               QueryCache* cache) const {
   PQIDX_CHECK_MSG(query.shape() == shape_,
                   "query shape does not match lookup engine shape");
   // Distances are never negative, so tau < 0 (or NaN) matches nothing.
@@ -793,48 +865,27 @@ std::vector<LookupResult> LookupEngine::Lookup(
     qfp = FingerprintQuery(tuples, query.size(), /*op=*/0,
                            std::bit_cast<uint64_t>(tau));
   }
-  const size_t shard_count = shards_.size();
-  std::vector<std::vector<LookupResult>> parts(shard_count);
-  std::vector<LookupEngineStats> part_stats(shard_count);
-  auto score = [&](int64_t s) {
-    const Shard& shard = *shards_[static_cast<size_t>(s)];
-    if (cache != nullptr &&
-        cache->Get(qfp, shard.uid, &parts[static_cast<size_t>(s)])) {
-      return;
-    }
-    ScoreShard(shard, tuples, query.size(), tau,
-               &parts[static_cast<size_t>(s)],
-               &part_stats[static_cast<size_t>(s)]);
-    if (cache != nullptr) {
-      cache->Put(qfp, shard.uid, parts[static_cast<size_t>(s)]);
-    }
-  };
-  if (pool != nullptr && shard_count > 1) {
-    pool->ParallelFor(static_cast<int64_t>(shard_count), score);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) {
-      score(static_cast<int64_t>(s));
-    }
-  }
-  size_t total = 0;
-  for (const std::vector<LookupResult>& part : parts) total += part.size();
   std::vector<LookupResult> results;
-  results.reserve(total);
-  for (const std::vector<LookupResult>& part : parts) {
+  std::vector<LookupResult> part;
+  LookupEngineStats folded;
+  for (const std::shared_ptr<const Shard>& shard : shards_) {
+    part.clear();
+    if (cache == nullptr || !cache->Get(qfp, shard->uid, &part)) {
+      ScoreShard(*shard, tuples, query.size(), tau, &part, &folded);
+      if (cache != nullptr) cache->Put(qfp, shard->uid, part);
+    }
     results.insert(results.end(), part.begin(), part.end());
   }
   std::sort(results.begin(), results.end(), RanksBefore);
-  LookupEngineStats folded;
-  for (const LookupEngineStats& part : part_stats) folded += part;
   RecordQueryMetrics(folded, start_us);
   if (stats != nullptr) *stats += folded;
   return results;
 }
 
-std::vector<LookupResult> LookupEngine::Lookup(
-    const Tree& query, double tau, ThreadPool* pool,
-    LookupEngineStats* stats, QueryCache* cache) const {
-  return Lookup(BuildIndex(query, shape_), tau, pool, stats, cache);
+std::vector<LookupResult> LookupEngine::Lookup(const Tree& query, double tau,
+                                               LookupEngineStats* stats,
+                                               QueryCache* cache) const {
+  return Lookup(BuildIndex(query, shape_), tau, stats, cache);
 }
 
 void LookupEngine::ScoreShardTopK(const Shard& shard,
@@ -843,30 +894,8 @@ void LookupEngine::ScoreShardTopK(const Shard& shard,
                                   std::vector<LookupResult>* heap,
                                   LookupEngineStats* stats) const {
   const size_t n = shard.tree_ids.size();
-  struct List {
-    uint32_t begin;
-    uint32_t length;
-    int64_t qcount;
-    PqGramFingerprint fp;
-  };
-  std::vector<List> lists;
-  lists.reserve(tuples.size());
-  size_t pos = 0;
-  for (const QueryTuple& t : tuples) {
-    pos = GallopLowerBound(shard.fps.data(), shard.fps.size(), pos, t.fp);
-    if (pos == shard.fps.size()) break;
-    if (shard.fps[pos] != t.fp) continue;
-    lists.push_back({shard.offsets[pos],
-                     shard.offsets[pos + 1] - shard.offsets[pos], t.count,
-                     t.fp});
-  }
-  std::sort(lists.begin(), lists.end(), [](const List& a, const List& b) {
-    return a.length < b.length || (a.length == b.length && a.fp < b.fp);
-  });
-  std::vector<int64_t> rest(lists.size() + 1, 0);
-  for (size_t j = lists.size(); j-- > 0;) {
-    rest[j] = rest[j + 1] + lists[j].qcount;
-  }
+  std::vector<int64_t> rest;
+  const std::vector<PostingList> lists = RarestFirstLists(shard, tuples, &rest);
 
   std::vector<int64_t> overlap(n, 0);
   std::vector<uint8_t> pruned(n, 0);
@@ -875,7 +904,7 @@ void LookupEngine::ScoreShardTopK(const Shard& shard,
   int32_t slot_buf[kBlock];
   int32_t contrib_buf[kBlock];
   for (size_t j = 0; j < lists.size(); ++j) {
-    const List& list = lists[j];
+    const PostingList& list = lists[j];
     const int64_t gain_after = rest[j + 1];
     stats->postings_scanned += list.length;
     const int32_t qc32 = static_cast<int32_t>(
@@ -938,52 +967,31 @@ void LookupEngine::ScoreShardTopK(const Shard& shard,
 }
 
 std::vector<LookupResult> LookupEngine::TopK(const PqGramIndex& query,
-                                             int k, ThreadPool* pool,
-                                             LookupEngineStats* stats,
+                                             int k, LookupEngineStats* stats,
                                              QueryCache* cache) const {
   PQIDX_CHECK_MSG(query.shape() == shape_,
                   "query shape does not match lookup engine shape");
   if (k <= 0) return {};
   const int64_t start_us = Metrics::enabled() ? Metrics::NowUs() : 0;
   const std::vector<QueryTuple> tuples = QueryTuples(query);
-  QueryFingerprint qfp;
-  if (cache != nullptr) {
-    qfp = FingerprintQuery(tuples, query.size(), /*op=*/1,
-                           static_cast<uint64_t>(k));
-  }
   LookupEngineStats local_stats;
   std::vector<LookupResult> merged;
-  if (cache != nullptr || (pool != nullptr && shards_.size() > 1)) {
+  if (cache != nullptr) {
     // Independent per-shard heaps; the global top k is a subset of the
-    // union of the per-shard top k. The cache requires this mode even
-    // sequentially: a cached partial must not depend on the heap state
-    // other shards left behind.
-    std::vector<std::vector<LookupResult>> heaps(shards_.size());
-    std::vector<LookupEngineStats> part_stats(shards_.size());
-    auto score = [&](int64_t s) {
-      const Shard& shard = *shards_[static_cast<size_t>(s)];
-      if (cache != nullptr &&
-          cache->Get(qfp, shard.uid, &heaps[static_cast<size_t>(s)])) {
-        return;
+    // union of the per-shard top k. A cached partial must not depend on
+    // the heap state other shards left behind.
+    const QueryFingerprint qfp = FingerprintQuery(
+        tuples, query.size(), /*op=*/1, static_cast<uint64_t>(k));
+    std::vector<LookupResult> heap;
+    for (const std::shared_ptr<const Shard>& shard : shards_) {
+      heap.clear();
+      if (!cache->Get(qfp, shard->uid, &heap)) {
+        ScoreShardTopK(*shard, tuples, query.size(), k, &heap,
+                       &local_stats);
+        cache->Put(qfp, shard->uid, heap);
       }
-      ScoreShardTopK(shard, tuples, query.size(), k,
-                     &heaps[static_cast<size_t>(s)],
-                     &part_stats[static_cast<size_t>(s)]);
-      if (cache != nullptr) {
-        cache->Put(qfp, shard.uid, heaps[static_cast<size_t>(s)]);
-      }
-    };
-    if (pool != nullptr && shards_.size() > 1) {
-      pool->ParallelFor(static_cast<int64_t>(shards_.size()), score);
-    } else {
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        score(static_cast<int64_t>(s));
-      }
-    }
-    for (const std::vector<LookupResult>& heap : heaps) {
       merged.insert(merged.end(), heap.begin(), heap.end());
     }
-    for (const LookupEngineStats& part : part_stats) local_stats += part;
   } else {
     for (const std::shared_ptr<const Shard>& shard : shards_) {
       ScoreShardTopK(*shard, tuples, query.size(), k, &merged,

@@ -19,11 +19,23 @@
 //     plus the maximum gain still attainable from the remaining (rarer
 //     processed first, so larger) lists falls below that bound, it is
 //     dropped without finishing its accumulation;
+//   * the same bound cuts the scan itself (a prefix filter): once the
+//     query multiplicity left in the remaining lists falls below what
+//     the shard's smallest tree needs, no tree that no list has reached
+//     yet can qualify, so the rest of the lists admit no new candidate.
+//     Past that cut the scan only feeds the live candidates, and once
+//     those are few against the next list it stops scanning and instead
+//     gallops each live slot into the (slot-sorted) list, costing about
+//     min(|live| * log|list|, |list|) per list; it stops as soon as no
+//     candidate is left;
 //   * the trees are split into shards with independent posting arenas
-//     and accumulators, so large lookups score shards in parallel via
-//     ThreadPool::ParallelFor and merge at the end;
-//   * TopK tightens the pruning bound adaptively from the current k-th
-//     best result instead of a fixed tau.
+//     and accumulators; each shard is scored on its own and the partial
+//     results are merged at the end;
+//   * TopK ranks every tree, so without a tau it has no cut: shards
+//     scored in sequence share one heap and prune against its current
+//     k-th best, while with a QueryCache (what pqidxd passes) every
+//     shard fills its own heap, which holds nothing until the shard's
+//     final emit pass, so the bound never prunes during accumulation.
 //
 // Results are bit-identical to ForestIndex::Lookup -- same distances
 // (identical double arithmetic), same ordering, same tie-breaks -- for
@@ -60,7 +72,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/inverted_index.h"
 #include "core/pqgram_index.h"
@@ -71,10 +82,15 @@ namespace pqidx {
 // Work accounting for one lookup (or one TopK). All counters are sums
 // over the shards the lookup touched.
 struct LookupEngineStats {
-  int64_t candidates = 0;        // trees reached by at least one posting
+  // Trees admitted as candidates: reached by a posting at all (TopK) or
+  // before the prefix cut (Lookup).
+  int64_t candidates = 0;
   int64_t pruned = 0;            // dropped mid-accumulation by the filter
   int64_t scored = 0;            // candidates that reached the final test
-  int64_t postings_scanned = 0;  // posting entries visited
+  // Posting entries visited: every entry a scan reads, plus one per
+  // galloping probe of a live slot into a list (hit or miss), however
+  // many entries the probe stepped over.
+  int64_t postings_scanned = 0;
 
   LookupEngineStats& operator+=(const LookupEngineStats& other) {
     candidates += other.candidates;
@@ -90,8 +106,8 @@ class LookupEngine {
   // Compiles a snapshot of `forest` split into `num_shards` shards
   // (clamped to [1, max(1, #trees)]; the unclamped count is kept as the
   // target later ApplyDelta calls balance against). Shard count trades
-  // parallelism against per-shard setup cost; results never depend on
-  // it.
+  // publish cost (ApplyDelta rewrites one shard) against per-shard query
+  // setup; results never depend on it.
   static std::shared_ptr<const LookupEngine> Build(const ForestIndex& forest,
                                                    int num_shards = 1);
   static std::shared_ptr<const LookupEngine> Build(
@@ -155,26 +171,24 @@ class LookupEngine {
 
   // Approximate lookup: all trees T with dist(query, T) <= tau, most
   // similar first (ties by tree id) -- bit-identical to
-  // ForestIndex::Lookup. With `pool`, shards are scored in parallel;
-  // `stats`, when non-null, receives the work counters of this call.
-  // With `cache`, per-shard partial results are served from / inserted
-  // into it (cached shards contribute no work counters).
+  // ForestIndex::Lookup. `stats`, when non-null, receives the work
+  // counters of this call. With `cache`, per-shard partial results are
+  // served from / inserted into it (cached shards contribute no work
+  // counters).
   std::vector<LookupResult> Lookup(const PqGramIndex& query, double tau,
-                                   ThreadPool* pool = nullptr,
                                    LookupEngineStats* stats = nullptr,
                                    QueryCache* cache = nullptr) const;
   std::vector<LookupResult> Lookup(const Tree& query, double tau,
-                                   ThreadPool* pool = nullptr,
                                    LookupEngineStats* stats = nullptr,
                                    QueryCache* cache = nullptr) const;
 
   // The k most similar trees, most similar first (ties by tree id);
-  // identical to ForestIndex::TopK. Sequentially the pruning bound
-  // tightens from the current k-th best across shards; with `pool` (or
-  // `cache`, whose entries must not depend on cross-shard state),
-  // shards compute independent top-k heaps that are merged at the end.
+  // identical to ForestIndex::TopK. Without `cache` the shards are
+  // scored in sequence into one heap, so the pruning bound tightens from
+  // the current k-th best across shards; with `cache`, whose entries
+  // must not depend on cross-shard state, every shard computes an
+  // independent top-k heap and the heaps are merged at the end.
   std::vector<LookupResult> TopK(const PqGramIndex& query, int k,
-                                 ThreadPool* pool = nullptr,
                                  LookupEngineStats* stats = nullptr,
                                  QueryCache* cache = nullptr) const;
 
@@ -220,6 +234,15 @@ class LookupEngine {
   struct QueryTuple {
     PqGramFingerprint fp;
     int64_t count;
+  };
+
+  // One query tuple's posting list in a shard: its arena range and the
+  // tuple's query multiplicity.
+  struct PostingList {
+    uint32_t begin;
+    uint32_t length;
+    int64_t qcount;
+    PqGramFingerprint fp;
   };
 
   // A posting during one build: global-slot form before sharding.
@@ -274,8 +297,17 @@ class LookupEngine {
       const std::vector<QueryTuple>& tuples, int64_t query_size,
       uint64_t op, uint64_t param);
 
+  // The posting lists of `tuples` present in `shard`, shortest first
+  // (ties by fingerprint), and (*rest)[j] = the query multiplicity of
+  // lists j.. -- the most overlap a tree can still gain from list j on.
+  static std::vector<PostingList> RarestFirstLists(
+      const Shard& shard, const std::vector<QueryTuple>& tuples,
+      std::vector<int64_t>* rest);
+
   // Scores one shard for Lookup: accumulates overlaps rarest-first with
-  // the tau-derived count filter and appends qualifying results.
+  // the tau-derived count filter, stops admitting candidates at the
+  // prefix cut, probes instead of scanning once the live candidates are
+  // few, and appends qualifying results.
   void ScoreShard(const Shard& shard, const std::vector<QueryTuple>& tuples,
                   int64_t query_size, double tau,
                   std::vector<LookupResult>* out,

@@ -192,19 +192,4 @@ void ComputeContribs(const int32_t* pairs, size_t n, int32_t qcount,
                                                 contribs);
 }
 
-size_t GallopLowerBound(const uint64_t* data, size_t n, size_t begin,
-                        uint64_t target) {
-  if (begin >= n || data[begin] >= target) return begin;
-  // Invariant: data[lo] < target. Double the step until it overshoots.
-  size_t lo = begin;
-  size_t step = 1;
-  while (lo + step < n && data[lo + step] < target) {
-    lo += step;
-    step <<= 1;
-  }
-  const size_t hi = std::min(n, lo + step);
-  return static_cast<size_t>(
-      std::lower_bound(data + lo + 1, data + hi, target) - data);
-}
-
 }  // namespace pqidx

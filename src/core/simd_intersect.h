@@ -15,7 +15,9 @@
 //   * GallopLowerBound replaces the per-tuple binary search over a
 //     shard's sorted fingerprint array: query tuples arrive in
 //     ascending fingerprint order, so each search gallops forward from
-//     the previous match instead of bisecting the whole array.
+//     the previous match instead of bisecting the whole array. The
+//     lookup engine's probes of ascending live slots into a posting
+//     list (past its prefix cut) gallop the same way.
 //
 // Kernels are selected once at runtime (AVX2 > SSE4.1 > NEON > scalar;
 // x86 detection via __builtin_cpu_supports) and every variant computes
@@ -27,6 +29,7 @@
 #ifndef PQIDX_CORE_SIMD_INTERSECT_H_
 #define PQIDX_CORE_SIMD_INTERSECT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -59,13 +62,39 @@ bool SetSimdKernelForTesting(SimdKernel kernel);
 void ComputeContribs(const int32_t* pairs, size_t n, int32_t qcount,
                      int32_t* slots, int32_t* contribs);
 
-// First index in the ascending array `data[0, n)` at or after `begin`
-// whose value is >= `target`: lower_bound semantics, but galloping
-// forward from `begin` (doubling steps, then a binary search inside the
-// final gap), so a run of searches with ascending targets costs
-// O(log gap) each instead of O(log n).
-size_t GallopLowerBound(const uint64_t* data, size_t n, size_t begin,
-                        uint64_t target);
+// First index in `data[0, n)` at or after `begin` whose key_of(element)
+// is >= `target`, for data ascending by key: lower_bound semantics, but
+// galloping forward from `begin` (doubling steps, then a binary search
+// inside the final gap), so a run of searches with ascending targets
+// costs O(log gap) each instead of O(log n).
+template <typename T, typename Key, typename KeyOf>
+size_t GallopLowerBound(const T* data, size_t n, size_t begin, Key target,
+                        KeyOf key_of) {
+  if (begin >= n || !(key_of(data[begin]) < target)) return begin;
+  // Invariant: key_of(data[lo]) < target. Double the step until it
+  // overshoots.
+  size_t lo = begin;
+  size_t step = 1;
+  while (lo + step < n && key_of(data[lo + step]) < target) {
+    lo += step;
+    step <<= 1;
+  }
+  const size_t hi = std::min(n, lo + step);
+  return static_cast<size_t>(
+      std::lower_bound(data + lo + 1, data + hi, target,
+                       [&](const T& element, const Key& key) {
+                         return key_of(element) < key;
+                       }) -
+      data);
+}
+
+// GallopLowerBound over an array of the keys themselves (a shard's
+// sorted fingerprints).
+inline size_t GallopLowerBound(const uint64_t* data, size_t n, size_t begin,
+                               uint64_t target) {
+  return GallopLowerBound(data, n, begin, target,
+                          [](uint64_t key) { return key; });
+}
 
 }  // namespace pqidx
 

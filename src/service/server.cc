@@ -341,15 +341,13 @@ std::string Server::HandleRequest(MessageType type,
       return HandleQuery<LookupRequest>(
           payload, [this](const LookupEngine& engine, const LookupRequest& r,
                           LookupEngineStats* stats) {
-            return engine.Lookup(r.query, r.tau, /*pool=*/nullptr, stats,
-                                 query_cache_.get());
+            return engine.Lookup(r.query, r.tau, stats, query_cache_.get());
           });
     case MessageType::kTopK:
       return HandleQuery<TopKRequest>(
           payload, [this](const LookupEngine& engine, const TopKRequest& r,
                           LookupEngineStats* stats) {
-            return engine.TopK(r.query, r.k, /*pool=*/nullptr, stats,
-                               query_cache_.get());
+            return engine.TopK(r.query, r.k, stats, query_cache_.get());
           });
     case MessageType::kAddTree:
       return HandleAddTree(payload);

@@ -18,10 +18,10 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/inverted_index.h"
 #include "core/lookup_engine.h"
+#include "core/query_cache.h"
 #include "core/simd_intersect.h"
 #include "edit/edit_script.h"
 #include "tree/generators.h"
@@ -94,12 +94,12 @@ void ExpectBagsRebuild(const LookupEngine& engine, const ForestIndex& forest,
 
 // A snapshot derived by ApplyDelta must be structurally sound and answer
 // Lookup and TopK bit-identically to a from-scratch Build of the same
-// forest (and to the scan), sequentially and through `pool`, under every
-// SIMD kernel this machine can run.
+// forest (and to the scan), under every SIMD kernel this machine can
+// run.
 void ExpectMatchesFreshBuild(const LookupEngine& engine,
                              const ForestIndex& forest,
                              const std::vector<PqGramIndex>& queries,
-                             ThreadPool* pool, const char* what) {
+                             const char* what) {
   const Status sound = engine.CheckInvariants();
   ASSERT_TRUE(sound.ok()) << what << ": " << sound.ToString();
   ASSERT_EQ(engine.size(), forest.size()) << what;
@@ -113,13 +113,11 @@ void ExpectMatchesFreshBuild(const LookupEngine& engine,
       for (double tau : kTaus) {
         const std::vector<LookupResult> want = fresh->Lookup(query, tau);
         ExpectSameResults(engine.Lookup(query, tau), want, what);
-        ExpectSameResults(engine.Lookup(query, tau, pool), want, what);
         ExpectSameResults(want, forest.Lookup(query, tau), what);
       }
       for (int k : {1, 5, 100}) {
         const std::vector<LookupResult> want = fresh->TopK(query, k);
         ExpectSameResults(engine.TopK(query, k), want, what);
-        ExpectSameResults(engine.TopK(query, k, pool), want, what);
         ExpectSameResults(want, forest.TopK(query, k), what);
       }
     }
@@ -127,19 +125,15 @@ void ExpectMatchesFreshBuild(const LookupEngine& engine,
 }
 
 // Checks one engine snapshot against the scan for every tau in the sweep,
-// with 1..n shards, sequentially and through a pool.
+// with 1..n shards.
 void ExpectEngineMatchesScan(const ForestIndex& forest,
-                             const PqGramIndex& query, ThreadPool* pool) {
+                             const PqGramIndex& query) {
   for (int shards : {1, 3, 8}) {
     auto engine = LookupEngine::Build(forest, shards);
     ASSERT_EQ(engine->size(), forest.size());
     for (double tau : kTaus) {
       std::vector<LookupResult> want = forest.Lookup(query, tau);
-      ExpectSameResults(engine->Lookup(query, tau), want, "sequential");
-      if (pool != nullptr) {
-        ExpectSameResults(engine->Lookup(query, tau, pool), want,
-                          "parallel");
-      }
+      ExpectSameResults(engine->Lookup(query, tau), want, "engine");
     }
   }
 }
@@ -153,8 +147,7 @@ TEST(LookupEngineTest, MatchesScanOnSmallForest) {
 
   Tree query = MustParse("a(b,c)");
   PqGramIndex bag = BuildIndex(query, PqShape{2, 2});
-  ThreadPool pool(3);
-  ExpectEngineMatchesScan(forest, bag, &pool);
+  ExpectEngineMatchesScan(forest, bag);
 
   // Building from the inverted postings yields the same snapshot.
   auto from_inverted = LookupEngine::Build(inverted, 2);
@@ -185,9 +178,8 @@ TEST(LookupEngineTest, EmptyEngineAndEmptyBags) {
   const PqGramIndex empty_query(shape);
   const PqGramIndex full_query =
       BuildIndex(GenerateDblpLike(dict, &rng, 30), shape);
-  ThreadPool pool(2);
-  ExpectEngineMatchesScan(forest, empty_query, &pool);
-  ExpectEngineMatchesScan(forest, full_query, &pool);
+  ExpectEngineMatchesScan(forest, empty_query);
+  ExpectEngineMatchesScan(forest, full_query);
 
   // The empty query must find exactly the two empty-bag trees at tau 0.
   auto engine = LookupEngine::Build(forest, 2);
@@ -220,7 +212,6 @@ TEST(LookupEngineTest, HostileTauMatchesScanExactly) {
   forest.AddTree(2, MustParse("a(b,x)"));
   InvertedForestIndex inverted(forest);
   auto engine = LookupEngine::Build(forest, 2);
-  ThreadPool pool(2);
 
   const double hostile[] = {-0.5, -1.0, -1e308,
                             -std::numeric_limits<double>::infinity(),
@@ -232,7 +223,6 @@ TEST(LookupEngineTest, HostileTauMatchesScanExactly) {
       EXPECT_TRUE(forest.Lookup(query, tau).empty());
       EXPECT_TRUE(inverted.Lookup(query, tau).empty());
       EXPECT_TRUE(engine->Lookup(query, tau).empty());
-      EXPECT_TRUE(engine->Lookup(query, tau, &pool).empty());
     }
   }
 }
@@ -259,9 +249,8 @@ TEST(LookupEngineTest, CountsBeyondInt32CompileAndScoreExactly) {
   PqGramIndex query = BuildIndex(doc, shape);
   query.Add(fp, kWide + 12345);
 
-  ThreadPool pool(2);
-  ExpectEngineMatchesScan(forest, query, &pool);
-  ExpectEngineMatchesScan(forest, BuildIndex(doc, shape), &pool);
+  ExpectEngineMatchesScan(forest, query);
+  ExpectEngineMatchesScan(forest, BuildIndex(doc, shape));
   auto engine = LookupEngine::Build(inverted, 2);
   for (double tau : kTaus) {
     ExpectSameResults(engine->Lookup(query, tau), forest.Lookup(query, tau),
@@ -274,7 +263,6 @@ TEST(LookupEngineTest, CountsBeyondInt32CompileAndScoreExactly) {
 TEST(LookupEngineTest, ThreeWayEquivalenceOnRandomForests) {
   Rng rng(17);
   auto dict = std::make_shared<LabelDict>();
-  ThreadPool pool(4);
   for (int round = 0; round < 3; ++round) {
     const PqShape shape{2 + round % 2, 2 + round};
     ForestIndex forest(shape);
@@ -291,12 +279,12 @@ TEST(LookupEngineTest, ThreeWayEquivalenceOnRandomForests) {
     for (int trial = 0; trial < 4; ++trial) {
       PqGramIndex query = BuildIndex(
           GenerateXmarkLike(dict, &rng, 120), shape);
-      ExpectEngineMatchesScan(forest, query, &pool);
+      ExpectEngineMatchesScan(forest, query);
       auto engine = LookupEngine::Build(inverted, 5);
       for (double tau : kTaus) {
         std::vector<LookupResult> want = forest.Lookup(query, tau);
         ExpectSameResults(inverted.Lookup(query, tau), want, "inverted");
-        ExpectSameResults(engine->Lookup(query, tau, &pool), want,
+        ExpectSameResults(engine->Lookup(query, tau), want,
                           "engine from inverted");
       }
     }
@@ -316,7 +304,6 @@ TEST(LookupEngineTest, StaysEquivalentAcrossEditLogEvolution) {
     inverted.AddTree(id, docs.back());
   }
 
-  ThreadPool pool(3);
   for (int round = 0; round < 5; ++round) {
     // Edit a few documents through the incremental path on both
     // maintainable structures, then recompile the snapshot.
@@ -335,7 +322,7 @@ TEST(LookupEngineTest, StaysEquivalentAcrossEditLogEvolution) {
     for (double tau : kTaus) {
       std::vector<LookupResult> want = forest.Lookup(query, tau);
       ExpectSameResults(inverted.Lookup(query, tau), want, "inverted");
-      ExpectSameResults(engine->Lookup(query, tau, &pool), want, "engine");
+      ExpectSameResults(engine->Lookup(query, tau), want, "engine");
     }
   }
 }
@@ -348,7 +335,6 @@ TEST(LookupEngineTest, TopKMatchesForestIndex) {
   for (TreeId id = 0; id < 40; ++id) {
     forest.AddTree(id, GenerateXmarkLike(dict, &rng, 90));
   }
-  ThreadPool pool(4);
   for (int shards : {1, 4}) {
     auto engine = LookupEngine::Build(forest, shards);
     for (int trial = 0; trial < 3; ++trial) {
@@ -356,9 +342,7 @@ TEST(LookupEngineTest, TopKMatchesForestIndex) {
           GenerateXmarkLike(dict, &rng, 90), shape);
       for (int k : {0, 1, 3, 10, 40, 100}) {
         std::vector<LookupResult> want = forest.TopK(query, k);
-        ExpectSameResults(engine->TopK(query, k), want, "topk sequential");
-        ExpectSameResults(engine->TopK(query, k, &pool), want,
-                          "topk parallel");
+        ExpectSameResults(engine->TopK(query, k), want, "topk");
       }
     }
   }
@@ -380,23 +364,143 @@ TEST(LookupEngineTest, PruningStatsAccounting) {
   // Selective tau: every candidate is either pruned mid-accumulation or
   // reaches the final test; nothing is double-counted.
   LookupEngineStats selective;
-  engine->Lookup(query, 0.2, nullptr, &selective);
+  engine->Lookup(query, 0.2, &selective);
   EXPECT_GT(selective.candidates, 0);
   EXPECT_GT(selective.postings_scanned, 0);
   EXPECT_EQ(selective.pruned + selective.scored, selective.candidates);
 
   // tau >= 1 admits everything: no pruning, every tree scored.
   LookupEngineStats everything;
-  std::vector<LookupResult> all = engine->Lookup(query, 1.0, nullptr,
-                                                 &everything);
+  std::vector<LookupResult> all = engine->Lookup(query, 1.0, &everything);
   EXPECT_EQ(all.size(), static_cast<size_t>(forest.size()));
   EXPECT_EQ(everything.pruned, 0);
   EXPECT_EQ(everything.scored, forest.size());
 
   // A tighter tau never scores more candidates than a looser one.
   LookupEngineStats loose;
-  engine->Lookup(query, 0.8, nullptr, &loose);
+  engine->Lookup(query, 0.8, &loose);
   EXPECT_LE(selective.scored, loose.scored);
+}
+
+// The taus the prefix-cut oracle sweeps: exact, selective, middling and
+// loose, everything-qualifies, and two hostile values.
+constexpr double kCutTaus[] = {0.0, 0.2, 0.5, 0.8, 1.0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::infinity()};
+
+// Every Lookup and TopK answer of `engine` equals the scan's bit for
+// bit, scored directly and through a QueryCache both cold and warm.
+void ExpectOracleAnswers(const LookupEngine& engine,
+                         const ForestIndex& forest,
+                         const std::vector<PqGramIndex>& queries,
+                         const char* what) {
+  ASSERT_TRUE(engine.CheckInvariants().ok()) << what;
+  QueryCache cache(QueryCache::Options{});
+  for (const PqGramIndex& query : queries) {
+    for (double tau : kCutTaus) {
+      const std::vector<LookupResult> want = forest.Lookup(query, tau);
+      LookupEngineStats stats;
+      ExpectSameResults(engine.Lookup(query, tau, &stats), want, what);
+      if (tau >= 0.0 && tau < 1.0) {
+        EXPECT_EQ(stats.pruned + stats.scored, stats.candidates) << what;
+      }
+      for (int pass = 0; pass < 2; ++pass) {
+        ExpectSameResults(engine.Lookup(query, tau, nullptr, &cache), want,
+                          what);
+      }
+    }
+    for (int k : {1, 3, 10}) {
+      const std::vector<LookupResult> want = forest.TopK(query, k);
+      ExpectSameResults(engine.TopK(query, k), want, what);
+      for (int pass = 0; pass < 2; ++pass) {
+        ExpectSameResults(engine.TopK(query, k, nullptr, &cache), want,
+                          what);
+      }
+    }
+  }
+}
+
+// The prefix cut (no candidate admitted once the remaining lists cannot
+// lift an untouched tree to the shard's smallest bar) and the switch to
+// galloping probes must never change an answer. The forest mixes shards
+// of uniformly large trees (an early cut) with shards where a tiny tree
+// or an empty bag sets a low floor (a late or no cut), carries counts
+// above INT32_MAX, and is scored as one shard, four, one tree per shard,
+// and as an ApplyDelta chain grown, edited and shrunk from a Build. The
+// queries are near-copies of forest trees (few live candidates past the
+// cut, so the probes run), a tiny tree, a random document, a wide-count
+// query and the empty query.
+TEST(LookupEngineTest, PrefixCutMatchesScanOracle) {
+  const PqShape shape{2, 3};
+  const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
+  Rng rng(107);
+  auto dict = std::make_shared<LabelDict>();
+  ForestIndex forest(shape);
+  constexpr TreeId kTrees = 64;
+  for (TreeId id = 0; id < kTrees; ++id) {
+    // The first half is uniformly large; in the second half every third
+    // tree is tiny.
+    const bool tiny = id >= kTrees / 2 && id % 3 == 0;
+    forest.AddTree(id, tiny ? MustParse("a(b)")
+                            : GenerateDblpLike(dict, &rng, 60 + 4 * (id % 30)));
+  }
+  forest.AddIndex(kTrees + 1, PqGramIndex(shape));
+  const Tree wide_doc = MustParse("a(b,c)");
+  PqGramIndex wide_bag = BuildIndex(wide_doc, shape);
+  const PqGramFingerprint wide_fp = wide_bag.counts().begin()->first;
+  wide_bag.Add(wide_fp, kWide);
+  forest.AddIndex(kTrees + 2, wide_bag);
+
+  std::vector<PqGramIndex> queries;
+  for (TreeId base : {TreeId{5}, TreeId{21}, TreeId{40}, TreeId{61}}) {
+    // A near-copy: one occurrence dropped and a foreign tuple added.
+    PqGramIndex query = *forest.Find(base);
+    query.Remove(query.counts().begin()->first);
+    query.Add(PqGramFingerprint{0x5eed0000 + static_cast<uint64_t>(base)});
+    queries.push_back(std::move(query));
+  }
+  queries.push_back(BuildIndex(MustParse("a(b)"), shape));
+  queries.push_back(BuildIndex(GenerateDblpLike(dict, &rng, 80), shape));
+  PqGramIndex wide_query = BuildIndex(wide_doc, shape);
+  wide_query.Add(wide_fp, kWide + 12345);
+  queries.push_back(std::move(wide_query));
+  queries.push_back(PqGramIndex(shape));
+
+  for (int shards : {1, 4, forest.size()}) {
+    auto engine = LookupEngine::Build(forest, shards);
+    ExpectOracleAnswers(*engine, forest, queries, "built");
+    // The cut must actually bite: a near-copy at tau 0.2 visits fewer
+    // postings than the uncut walk at tau 1.
+    LookupEngineStats cut, whole;
+    engine->Lookup(queries.front(), 0.2, &cut);
+    engine->Lookup(queries.front(), 1.0, &whole);
+    EXPECT_LT(cut.postings_scanned, whole.postings_scanned)
+        << shards << " shards";
+  }
+
+  // An ApplyDelta chain from a Build of the first half: the second half
+  // arrives in batches, then trees are edited (a large tree becomes
+  // tiny and a tiny one large, moving shard floors) and removed.
+  ForestIndex partial(shape);
+  for (TreeId id = 0; id < kTrees / 2; ++id) {
+    partial.AddIndex(id, *forest.Find(id));
+  }
+  auto engine = LookupEngine::Build(partial, 4);
+  std::vector<TreeId> ids = forest.TreeIds();
+  for (size_t begin = kTrees / 2; begin < ids.size(); begin += 12) {
+    const std::vector<TreeId> batch(
+        ids.begin() + static_cast<long>(begin),
+        ids.begin() + static_cast<long>(std::min(ids.size(), begin + 12)));
+    for (TreeId id : batch) partial.AddIndex(id, *forest.Find(id));
+    engine = LookupEngine::ApplyDelta(engine, partial, batch);
+    ExpectOracleAnswers(*engine, partial, queries, "grown");
+  }
+  partial.AddIndex(7, BuildIndex(MustParse("a(b)"), shape));
+  partial.AddIndex(33, BuildIndex(GenerateDblpLike(dict, &rng, 150), shape));
+  ASSERT_TRUE(partial.RemoveTree(40));
+  ASSERT_TRUE(partial.RemoveTree(kTrees + 1));
+  engine = LookupEngine::ApplyDelta(engine, partial, {7, 33, 40, kTrees + 1});
+  ExpectOracleAnswers(*engine, partial, queries, "edited");
 }
 
 // Incremental snapshot maintenance: a randomized edit log evolves the
@@ -438,7 +542,6 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
   wide_query.Add(wide_fp, kWide + 12345);
   queries.push_back(std::move(wide_query));
 
-  ThreadPool pool(3);
   auto engine = LookupEngine::Build(forest, 4);
   ExpectBagsRebuild(*engine, forest, "built");
   std::shared_ptr<const LookupEngine> from_changed = engine;
@@ -505,7 +608,7 @@ TEST(LookupEngineTest, ApplyDeltaTracksEditLogEvolution) {
 
     engine = LookupEngine::ApplyDelta(engine, forest, changed);
     queries.front() = BuildIndex(docs.begin()->second, shape);
-    ExpectMatchesFreshBuild(*engine, forest, queries, &pool, "incremental");
+    ExpectMatchesFreshBuild(*engine, forest, queries, "incremental");
 
     ForestIndex changed_bags(shape);
     for (TreeId id : changed) {
@@ -538,7 +641,6 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   const int64_t kWide = int64_t{3} << 31;  // > INT32_MAX
   ForestIndex forest(shape);
   auto engine = LookupEngine::Build(forest, 3);
-  ThreadPool pool(2);
 
   // Empty changed list: the same snapshot comes back.
   EXPECT_EQ(LookupEngine::ApplyDelta(engine, forest, {}).get(),
@@ -560,21 +662,20 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   PqGramIndex query = BuildIndex(doc, shape);
   query.Add(fp, kWide + 12345);
   const std::vector<PqGramIndex> queries = {query, PqGramIndex(shape)};
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "wide counts via ApplyDelta");
   const double hostile[] = {-0.5, -1.0, -1e308,
                             -std::numeric_limits<double>::infinity(),
                             std::numeric_limits<double>::quiet_NaN()};
   for (double tau : hostile) {
     EXPECT_TRUE(engine->Lookup(query, tau).empty());
-    EXPECT_TRUE(engine->Lookup(query, tau, &pool).empty());
   }
 
   // Evolve the wide-count bag (still wide) through another delta.
   huge.Add(fp, 7);
   forest.AddIndex(10, huge);
   engine = LookupEngine::ApplyDelta(engine, forest, {10});
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "wide counts evolved");
 
   // A wide tree below the first shard's range and one above the last's;
@@ -583,7 +684,7 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   forest.AddIndex(40, huge);
   forest.AddIndex(25, huge);
   engine = LookupEngine::ApplyDelta(engine, forest, {5, 40, 25});
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "wide ids at both ends and inside");
 
   // The middle shard's narrow tree leaves while its wide neighbor stays
@@ -591,17 +692,17 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   // emptying whatever shard held the pair.
   ASSERT_TRUE(forest.RemoveTree(20));
   engine = LookupEngine::ApplyDelta(engine, forest, {20});
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "wide entry shifted");
   ASSERT_TRUE(forest.RemoveTree(25));
   engine = LookupEngine::ApplyDelta(engine, forest, {25});
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "shard emptied");
 
   // A wide count shrinks back to narrow in place.
   forest.AddIndex(40, BuildIndex(doc, shape));
   engine = LookupEngine::ApplyDelta(engine, forest, {40});
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool, "wide to narrow");
+  ExpectMatchesFreshBuild(*engine, forest, queries, "wide to narrow");
 
   // Remove everything, then repopulate from the empty snapshot.
   const std::vector<TreeId> all = forest.TreeIds();
@@ -613,7 +714,7 @@ TEST(LookupEngineTest, ApplyDeltaEdgeCasesAndWideCounts) {
   forest.AddTree(9, MustParse("a(b,c)"));
   engine = LookupEngine::ApplyDelta(engine, forest, {9});
   ASSERT_EQ(engine->size(), 1);
-  ExpectMatchesFreshBuild(*engine, forest, queries, &pool,
+  ExpectMatchesFreshBuild(*engine, forest, queries,
                           "repopulated from empty");
 }
 
@@ -646,7 +747,6 @@ TEST(LookupEngineTest, ApplyDeltaGrowsBalancedShardsFromAnEmptyStart) {
   const int bound = 2 * ((kTrees + kTarget - 1) / kTarget);
   for (int trees : sizes) EXPECT_LE(trees, bound);
 
-  ThreadPool pool(2);
   for (int q = 0; q < 3; ++q) {
     PqGramIndex query(shape);
     for (int t = 0; t < 4; ++t) {
@@ -655,8 +755,6 @@ TEST(LookupEngineTest, ApplyDeltaGrowsBalancedShardsFromAnEmptyStart) {
     for (double tau : kTaus) {
       const std::vector<LookupResult> want = forest.Lookup(query, tau);
       ExpectSameResults(engine->Lookup(query, tau), want, "grown");
-      ExpectSameResults(engine->Lookup(query, tau, &pool), want,
-                        "grown parallel");
     }
     ExpectSameResults(engine->TopK(query, 10), forest.TopK(query, 10),
                       "grown topk");
@@ -873,7 +971,6 @@ TEST(SimdIntersectTest, AllKernelsBitIdenticalToScalarOnRandomForests) {
   ScopedSimdKernel restore;
   Rng rng(47);
   auto dict = std::make_shared<LabelDict>();
-  ThreadPool pool(4);
 
   const PqShape shape{2, 3};
   ForestIndex forest(shape);
@@ -915,8 +1012,6 @@ TEST(SimdIntersectTest, AllKernelsBitIdenticalToScalarOnRandomForests) {
         for (double tau : kTaus) {
           std::vector<LookupResult> want = forest.Lookup(query, tau);
           ExpectSameResults(engine->Lookup(query, tau), want,
-                            SimdKernelName(kernel));
-          ExpectSameResults(engine->Lookup(query, tau, &pool), want,
                             SimdKernelName(kernel));
           // The snapshot built under the scalar kernel answers
           // identically when scored by this kernel (same arenas).

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/forest_index.h"
 #include "core/lookup_engine.h"
 #include "core/query_cache.h"
@@ -170,11 +169,11 @@ TEST(QueryCacheEpochTest, WarmLookupsHitAndStayBitIdentical) {
     const int64_t hits_before = fx.cache.hits();
     const int64_t misses_before = fx.cache.misses();
     ExpectSameResults(
-        fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache), want,
+        fx.engine->Lookup(fx.query, tau, nullptr, &fx.cache), want,
         "cold");
     EXPECT_EQ(fx.cache.misses() - misses_before, EpochFixture::kShards);
     ExpectSameResults(
-        fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache), want,
+        fx.engine->Lookup(fx.query, tau, nullptr, &fx.cache), want,
         "warm");
     EXPECT_EQ(fx.cache.hits() - hits_before, EpochFixture::kShards);
   }
@@ -185,11 +184,11 @@ TEST(QueryCacheEpochTest, TopKCachedMatchesForest) {
   for (int k : {1, 3, 10, 50}) {
     const std::vector<LookupResult> want = fx.forest.TopK(fx.query, k);
     ExpectSameResults(
-        fx.engine->TopK(fx.query, k, nullptr, nullptr, &fx.cache), want,
+        fx.engine->TopK(fx.query, k, nullptr, &fx.cache), want,
         "cold topk");
     const int64_t hits_before = fx.cache.hits();
     ExpectSameResults(
-        fx.engine->TopK(fx.query, k, nullptr, nullptr, &fx.cache), want,
+        fx.engine->TopK(fx.query, k, nullptr, &fx.cache), want,
         "warm topk");
     EXPECT_EQ(fx.cache.hits() - hits_before, EpochFixture::kShards);
   }
@@ -202,13 +201,13 @@ TEST(QueryCacheEpochTest, HostileTauAndNonPositiveKBypassCache) {
                             std::numeric_limits<double>::quiet_NaN()};
   for (double tau : hostile) {
     EXPECT_TRUE(
-        fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache)
+        fx.engine->Lookup(fx.query, tau, nullptr, &fx.cache)
             .empty());
   }
   EXPECT_TRUE(
-      fx.engine->TopK(fx.query, 0, nullptr, nullptr, &fx.cache).empty());
+      fx.engine->TopK(fx.query, 0, nullptr, &fx.cache).empty());
   EXPECT_TRUE(
-      fx.engine->TopK(fx.query, -3, nullptr, nullptr, &fx.cache).empty());
+      fx.engine->TopK(fx.query, -3, nullptr, &fx.cache).empty());
   EXPECT_EQ(fx.cache.hits(), 0);
   EXPECT_EQ(fx.cache.misses(), 0);
   EXPECT_EQ(fx.cache.entries(), 0);
@@ -218,7 +217,7 @@ TEST(QueryCacheEpochTest, IncrementalPublishKeepsUntouchedShardsWarm) {
   EpochFixture fx;
   // Warm every shard for one (query, tau) key.
   const double tau = 0.8;
-  fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache);
+  fx.engine->Lookup(fx.query, tau, nullptr, &fx.cache);
   ASSERT_EQ(fx.cache.entries(), EpochFixture::kShards);
 
   // Edit one tree; ApplyDelta rewrites only its shard and shares the
@@ -247,7 +246,7 @@ TEST(QueryCacheEpochTest, IncrementalPublishKeepsUntouchedShardsWarm) {
   // misses exactly the recompiled ones, and stays bit-identical.
   const int64_t hits_before = fx.cache.hits();
   const int64_t misses_before = fx.cache.misses();
-  ExpectSameResults(next->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache),
+  ExpectSameResults(next->Lookup(fx.query, tau, nullptr, &fx.cache),
                     fx.forest.Lookup(fx.query, tau), "incremental warm");
   EXPECT_EQ(fx.cache.hits() - hits_before, shared);
   EXPECT_EQ(fx.cache.misses() - misses_before,
@@ -264,7 +263,7 @@ TEST(QueryCacheEpochTest, IncrementalPublishKeepsUntouchedShardsWarm) {
   EXPECT_EQ(fx.cache.entries(), 0);
   const int64_t misses_cold = fx.cache.misses();
   ExpectSameResults(
-      rebuilt->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache),
+      rebuilt->Lookup(fx.query, tau, nullptr, &fx.cache),
       fx.forest.Lookup(fx.query, tau), "post rebuild");
   EXPECT_EQ(fx.cache.misses() - misses_cold, EpochFixture::kShards);
 }
@@ -279,7 +278,7 @@ TEST(QueryCacheEpochTest, RevertedBurstNeverServesStaleHits) {
   EpochFixture fx;
   const double tau = 0.8;
   const std::vector<LookupResult> pre =
-      fx.engine->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache);
+      fx.engine->Lookup(fx.query, tau, nullptr, &fx.cache);
   ASSERT_EQ(fx.cache.entries(), EpochFixture::kShards);
 
   // Burst: edit one tree's bag and publish, then restore the original
@@ -311,19 +310,19 @@ TEST(QueryCacheEpochTest, RevertedBurstNeverServesStaleHits) {
   // mismatch if the pre-burst entry had diverged).
   int64_t hits_before = fx.cache.hits();
   const int64_t misses_before = fx.cache.misses();
-  ExpectSameResults(post->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache),
+  ExpectSameResults(post->Lookup(fx.query, tau, nullptr, &fx.cache),
                     pre, "post-revert cold");
   EXPECT_EQ(fx.cache.hits() - hits_before, EpochFixture::kShards - 1);
   EXPECT_EQ(fx.cache.misses() - misses_before, 1);
 
   // The miss repopulated the fresh uid's entry: fully warm now.
   hits_before = fx.cache.hits();
-  ExpectSameResults(post->Lookup(fx.query, tau, nullptr, nullptr, &fx.cache),
+  ExpectSameResults(post->Lookup(fx.query, tau, nullptr, &fx.cache),
                     pre, "post-revert warm");
   EXPECT_EQ(fx.cache.hits() - hits_before, EpochFixture::kShards);
 }
 
-// Readers hammer cache-enabled lookups (sequential and pooled) while a
+// Readers hammer cache-enabled lookups while a
 // writer edits trees, publishes ApplyDelta snapshots, and reclaims dead
 // uids -- the server's publish path in miniature. TSan'd in CI.
 TEST(QueryCacheStressTest, CachedLookupsRaceSnapshotSwaps) {
@@ -342,7 +341,6 @@ TEST(QueryCacheStressTest, CachedLookupsRaceSnapshotSwaps) {
   std::shared_ptr<const LookupEngine> engine = LookupEngine::Build(forest, 4);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> lookups_done{0};
-  ThreadPool pool(2);
 
   std::thread writer([&] {
     Rng wrng(71);
@@ -374,16 +372,15 @@ TEST(QueryCacheStressTest, CachedLookupsRaceSnapshotSwaps) {
           std::lock_guard<std::mutex> lock(engine_mutex);
           snapshot = engine;
         }
-        ThreadPool* maybe_pool = r % 2 == 0 ? &pool : nullptr;
         std::vector<LookupResult> hits =
-            snapshot->Lookup(query, 0.9, maybe_pool, nullptr, &cache);
+            snapshot->Lookup(query, 0.9, nullptr, &cache);
         for (size_t i = 1; i < hits.size(); ++i) {
           ASSERT_TRUE(hits[i - 1].distance < hits[i].distance ||
                       (hits[i - 1].distance == hits[i].distance &&
                        hits[i - 1].tree_id < hits[i].tree_id));
         }
         std::vector<LookupResult> top =
-            snapshot->TopK(query, 5, maybe_pool, nullptr, &cache);
+            snapshot->TopK(query, 5, nullptr, &cache);
         ASSERT_LE(top.size(), 5u);
         lookups_done.fetch_add(1);
       }
@@ -399,10 +396,10 @@ TEST(QueryCacheStressTest, CachedLookupsRaceSnapshotSwaps) {
   for (double tau : kTaus) {
     const std::vector<LookupResult> want = forest.Lookup(final_query, tau);
     ExpectSameResults(
-        engine->Lookup(final_query, tau, nullptr, nullptr, &cache), want,
+        engine->Lookup(final_query, tau, nullptr, &cache), want,
         "post-hammer cold");
     ExpectSameResults(
-        engine->Lookup(final_query, tau, nullptr, nullptr, &cache), want,
+        engine->Lookup(final_query, tau, nullptr, &cache), want,
         "post-hammer warm");
   }
 }

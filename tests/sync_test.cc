@@ -1,7 +1,7 @@
 // Tests for the annotated synchronization wrappers (common/sync.h):
-// mutual exclusion through Mutex/MutexLock, reader/writer semantics of
-// SharedMutex, CondVar signaling, and the ticket-ordered Turnstile the
-// commit pipeline serializes its validation and storage phases with.
+// mutual exclusion through Mutex/MutexLock, CondVar signaling, and the
+// ticket-ordered Turnstile the commit pipeline serializes its validation
+// and storage phases with.
 // The concurrency cases are TSan targets (see .github/workflows/ci.yml).
 
 #include "common/sync.h"
@@ -55,49 +55,6 @@ TEST(SyncTest, MutexLockManualUnlockRelock) {
   mutex.Unlock();
   lock.Lock();
   EXPECT_FALSE(mutex.TryLock());
-}
-
-TEST(SyncTest, SharedMutexAdmitsConcurrentReaders) {
-  SharedMutex mutex;
-  std::atomic<int> readers_inside{0};
-  std::atomic<int> max_readers{0};
-  constexpr int kReaders = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kReaders);
-  for (int t = 0; t < kReaders; ++t) {
-    threads.emplace_back([&] {
-      ReaderLock lock(&mutex);
-      int inside = readers_inside.fetch_add(1) + 1;
-      int seen = max_readers.load();
-      while (inside > seen &&
-             !max_readers.compare_exchange_weak(seen, inside)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      readers_inside.fetch_sub(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_GT(max_readers.load(), 1) << "readers never overlapped";
-}
-
-TEST(SyncTest, SharedMutexWriterExcludesReaders) {
-  SharedMutex mutex;
-  int64_t value = 0;
-  std::atomic<bool> start{false};
-  std::thread writer([&] {
-    WriterLock lock(&mutex);
-    start.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    value = 42;
-  });
-  while (!start.load()) std::this_thread::yield();
-  {
-    ReaderLock lock(&mutex);
-    // The writer published before releasing; a reader admitted during
-    // the write window would have seen 0.
-    EXPECT_EQ(value, 42);
-  }
-  writer.join();
 }
 
 TEST(SyncTest, CondVarWakesWaiter) {
